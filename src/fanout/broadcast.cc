@@ -354,20 +354,7 @@ void BroadcastSession::ReapStreams() {
 }
 
 Status BroadcastSession::Settle() {
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = NextActionAt(now);
-    std::vector<net::Delivery> batch = wake >= 0
-                                           ? transport_->AdvanceTo(wake)
-                                           : transport_->AdvanceUntilIdle();
-    for (const net::Delivery& delivery : batch) OnDelivery(delivery);
-    ObserveAcks();
-    size_t sent = Pump(network_->clock()->NowMicros());
-    if (wake < 0 && batch.empty() && sent == 0 &&
-        transport_->in_flight() == 0 && network_->pending() == 0) {
-      break;
-    }
-  }
+  stream::DriveUntilIdle(transport_, {this});
   return Status::OK();
 }
 

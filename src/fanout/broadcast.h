@@ -20,6 +20,7 @@
 #include "net/reliable.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "stream/drive.h"
 #include "stream/scheduler.h"
 
 namespace mmconf::fanout {
@@ -102,11 +103,10 @@ struct BroadcastStats {
 /// simulated end-to-end through the real stream::StreamScheduler so
 /// delivery invariants are measured, not assumed.
 ///
-/// Like every subsystem here the session owns no threads. Standalone it
-/// is pumped via Settle(); under a federation tier the BroadcastDirector
-/// drives ObserveAcks/Pump/OnDelivery inside the tier's own loop, since
-/// no single owner may pump a shared transport.
-class BroadcastSession {
+/// Like every subsystem here the session owns no threads: it is a
+/// participant of the drive loop (stream/drive.h) — alone via Settle(),
+/// or next to the tier's nodes under a BroadcastDirector.
+class BroadcastSession final : public stream::DriveParticipant {
  public:
   /// `network` and `transport` must outlive the session. `origin` is the
   /// hosting node (feeds the tree); `label` namespaces relay/viewer node
@@ -142,35 +142,33 @@ class BroadcastSession {
   Status PushFrame(const std::vector<media::Image>& images,
                    const std::vector<SpeakerTrack>& tracks);
 
-  /// --- pump interface (a director drives these inside its loop) ---
-
-  /// Routes one application-level delivery: relay store-and-forward,
-  /// edge fan-out to sampled viewers, viewer-side audio receipt, and
-  /// chunk deliveries of this session's streams. True when consumed.
-  bool OnDelivery(const net::Delivery& delivery);
-
   /// Handles a transport delivery-failure. A dead tree link reparents
   /// the orphaned relay's subtree and re-sends the recent frame history
   /// down the new link. True when the failure was this session's.
   bool OnSendFailure(const net::FailedMessage& failure);
 
-  void ObserveAcks();
-  size_t Pump(MicrosT now);
-  MicrosT NextActionAt(MicrosT now) const;
+  /// --- stream::DriveParticipant ---
+
+  /// Routes one application-level delivery: relay store-and-forward,
+  /// edge fan-out to sampled viewers, viewer-side audio receipt, and
+  /// chunk deliveries of this session's streams. True when consumed.
+  bool OnDelivery(const net::Delivery& delivery) override;
+  /// Also folds resolved streams into the totals (and closes them).
+  void ObserveAcks() override;
+  size_t Pump(MicrosT now) override;
+  MicrosT NextActionAt(MicrosT now) const override;
+
   /// True when every sampled-viewer stream has resolved.
   bool Idle() const;
 
-  /// Standalone drive loop: advances the shared transport, routes
-  /// deliveries through OnDelivery, pumps the edge schedulers, and
-  /// returns when everything is idle. Do not call when a tier shares
-  /// the transport — use the BroadcastDirector's Settle instead.
+  /// stream::DriveUntilIdle over this session alone; unconsumed
+  /// deliveries are dropped.
   Status Settle();
 
   /// --- migration support ---
 
   /// Stops frame production so in-flight streams drain at a chunk
-  /// boundary (pump to idle afterwards — under a director that happens
-  /// inside the tier settle the migration itself runs).
+  /// boundary (drive to idle afterwards — under a director, its Settle).
   Status PauseAtChunkBoundary();
   bool paused() const { return paused_; }
 

@@ -218,56 +218,11 @@ Result<federation::MigrationReport> BroadcastDirector::MigrateBroadcast(
 }
 
 Result<std::vector<net::Delivery>> BroadcastDirector::Settle() {
-  std::vector<net::Delivery> passthrough;
-  net::ReliableTransport* transport = tier_->transport();
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = -1;
-    for (size_t i = 0; i < tier_->num_nodes(); ++i) {
-      MicrosT at = tier_->node(i)->NextStreamActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    for (auto& [room, hosted] : sessions_) {
-      MicrosT at = hosted.session->NextActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    std::vector<net::Delivery> batch = wake >= 0
-                                           ? transport->AdvanceTo(wake)
-                                           : transport->AdvanceUntilIdle();
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (auto& [room, hosted] : sessions_) {
-        if (hosted.session->OnDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) {
-        for (size_t i = 0; i < tier_->num_nodes(); ++i) {
-          if (tier_->node(i)->RouteDelivery(delivery)) {
-            consumed = true;
-            break;
-          }
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    size_t sent = 0;
-    MicrosT pump_now = network_->clock()->NowMicros();
-    for (size_t i = 0; i < tier_->num_nodes(); ++i) {
-      tier_->node(i)->ObserveStreamAcks();
-      sent += tier_->node(i)->PumpStreams(pump_now);
-    }
-    for (auto& [room, hosted] : sessions_) {
-      hosted.session->ObserveAcks();
-      sent += hosted.session->Pump(pump_now);
-    }
-    if (wake < 0 && batch.empty() && sent == 0 &&
-        transport->in_flight() == 0 && network_->pending() == 0) {
-      break;
-    }
+  std::vector<stream::DriveParticipant*> participants = tier_->Participants();
+  for (auto& [room, hosted] : sessions_) {
+    participants.push_back(hosted.session.get());
   }
-  return passthrough;
+  return stream::DriveUntilIdle(tier_->transport(), participants);
 }
 
 void BroadcastDirector::SetObserver(obs::MetricsRegistry* metrics,

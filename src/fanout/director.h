@@ -29,10 +29,8 @@ namespace mmconf::fanout {
 /// The director owns the shared transport's failure callback (installed
 /// over the tier's): session failures (tree links, viewer last miles)
 /// are handled by the owning session, everything else is forwarded to
-/// FederatedInteractionTier::DispatchFailure. It also owns the combined
-/// drive loop (Settle) — with broadcasts hosted, neither the tier's
-/// Settle nor a session's standalone Settle may be used, since each
-/// would pump the shared transport blind to the other's streams.
+/// FederatedInteractionTier::DispatchFailure. With broadcasts hosted,
+/// the director's Settle is the transport's drive loop (stream/drive.h).
 class BroadcastDirector {
  public:
   /// `tier` and `network` must outlive the director. Installs the
@@ -90,10 +88,8 @@ class BroadcastDirector {
   Result<federation::MigrationReport> MigrateBroadcast(
       const std::string& room_id, size_t target_node);
 
-  /// The combined drive loop: advances the shared transport, routing
-  /// deliveries to sessions first and tier nodes second, and pumps every
-  /// node's and every session's schedulers until everything idles.
-  /// Returns unconsumed deliveries in arrival order.
+  /// stream::DriveUntilIdle over the tier's nodes, then every hosted
+  /// session. Returns unconsumed deliveries in arrival order.
   Result<std::vector<net::Delivery>> Settle();
 
   /// Forwarded to every hosted session (fanout.* / mix.* / stream.*).

@@ -468,38 +468,14 @@ void FederatedInteractionTier::Quiesce() {
 }
 
 Result<std::vector<net::Delivery>> FederatedInteractionTier::Settle() {
-  std::vector<net::Delivery> passthrough;
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = -1;
-    for (Node& node : nodes_) {
-      MicrosT at = node.server->NextStreamActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    std::vector<net::Delivery> batch = wake >= 0
-                                           ? transport_->AdvanceTo(wake)
-                                           : transport_->AdvanceUntilIdle();
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (Node& node : nodes_) {
-        if (node.server->RouteDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    size_t sent = 0;
-    for (Node& node : nodes_) {
-      node.server->ObserveStreamAcks();
-      sent += node.server->PumpStreams(network_->clock()->NowMicros());
-    }
-    if (wake < 0 && batch.empty() && sent == 0 &&
-        transport_->in_flight() == 0 && network_->pending() == 0) {
-      break;
-    }
-  }
-  return passthrough;
+  return stream::DriveUntilIdle(transport_.get(), Participants());
+}
+
+std::vector<stream::DriveParticipant*>
+FederatedInteractionTier::Participants() {
+  std::vector<stream::DriveParticipant*> servers;
+  for (Node& node : nodes_) servers.push_back(node.server.get());
+  return servers;
 }
 
 std::vector<NodeLoad> FederatedInteractionTier::Loads() {

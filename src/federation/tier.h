@@ -19,6 +19,7 @@
 #include "obs/trace.h"
 #include "server/interaction_server.h"
 #include "storage/object_store.h"
+#include "stream/drive.h"
 
 namespace mmconf::federation {
 
@@ -69,10 +70,8 @@ struct MigrationReport {
 /// before the cutover. All nodes share one ObjectStore (typically the
 /// durable ShardedDatabaseServer facade) and one ReliableTransport.
 ///
-/// Like every subsystem here the tier owns no threads: it is pumped via
-/// Settle(), which drives the shared transport and every node's stream
-/// schedulers (no single node's server may pump a shared transport —
-/// it would swallow the other nodes' deliveries).
+/// Like every subsystem here the tier owns no threads: Settle() runs the
+/// one drive loop (stream/drive.h) over every node's server.
 class FederatedInteractionTier {
  public:
   /// Creates `options.num_nodes` interaction nodes on `network` (named
@@ -168,11 +167,14 @@ class FederatedInteractionTier {
     return migrations_.count(room_id) > 0;
   }
 
-  /// Drives the shared transport until idle, pumping every node's
-  /// stream schedulers and routing chunk deliveries to their owners;
-  /// returns the non-stream deliveries (presentation deltas, broadcasts,
-  /// forwarded requests) in arrival order.
+  /// stream::DriveUntilIdle over Participants(): returns the non-stream
+  /// deliveries (presentation deltas, broadcasts, forwarded requests) in
+  /// arrival order.
   Result<std::vector<net::Delivery>> Settle();
+
+  /// Every node's server, in node order: the drive-loop participants a
+  /// co-driver (the broadcast director) puts ahead of its own.
+  std::vector<stream::DriveParticipant*> Participants();
 
   /// Routes one transport delivery-failure to the node that sent the
   /// failed message (the tier's own failure-callback body). Public so a

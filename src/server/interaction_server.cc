@@ -547,90 +547,12 @@ Result<stream::StreamId> InteractionServer::OpenStream(
   return id;
 }
 
-Result<std::vector<net::Delivery>> InteractionServer::AdvanceStreams(
-    MicrosT t) {
-  if (transport_ == nullptr) {
-    return Status::FailedPrecondition("streaming needs a reliable transport");
-  }
-  std::vector<net::Delivery> passthrough;
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    size_t sent = 0;
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      scheduler->ObserveAcks();
-      sent += scheduler->Pump(now);
-    }
-    MicrosT wake = -1;
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      MicrosT at = scheduler->NextActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    MicrosT step = t;
-    if (wake >= 0 && wake < step) step = wake;
-    if (step < now) step = now;
-    std::vector<net::Delivery> batch = transport_->AdvanceTo(step);
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (auto& [room, scheduler] : stream_schedulers_) {
-        if (scheduler->OnDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    MicrosT after = network_->clock()->NowMicros();
-    bool progressed = sent > 0 || !batch.empty() || after > now;
-    if (after >= t && !progressed) break;
-  }
-  return passthrough;
-}
-
 Result<std::vector<net::Delivery>>
 InteractionServer::AdvanceStreamsUntilIdle() {
   if (transport_ == nullptr) {
     return Status::FailedPrecondition("streaming needs a reliable transport");
   }
-  std::vector<net::Delivery> passthrough;
-  while (true) {
-    MicrosT now = network_->clock()->NowMicros();
-    MicrosT wake = -1;
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      MicrosT at = scheduler->NextActionAt(now);
-      if (at >= 0 && (wake < 0 || at < wake)) wake = at;
-    }
-    if (wake >= 0) {
-      MMCONF_ASSIGN_OR_RETURN(std::vector<net::Delivery> batch,
-                              AdvanceStreams(wake));
-      passthrough.insert(passthrough.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
-      continue;
-    }
-    // No timer pending: only wire arrivals / retransmissions can make
-    // progress. Drain the transport, then let the schedulers react.
-    std::vector<net::Delivery> batch = transport_->AdvanceUntilIdle();
-    size_t sent = 0;
-    for (net::Delivery& delivery : batch) {
-      bool consumed = false;
-      for (auto& [room, scheduler] : stream_schedulers_) {
-        if (scheduler->OnDelivery(delivery)) {
-          consumed = true;
-          break;
-        }
-      }
-      if (!consumed) passthrough.push_back(std::move(delivery));
-    }
-    for (auto& [room, scheduler] : stream_schedulers_) {
-      scheduler->ObserveAcks();
-      sent += scheduler->Pump(network_->clock()->NowMicros());
-    }
-    if (batch.empty() && sent == 0 && transport_->in_flight() == 0 &&
-        network_->pending() == 0) {
-      break;
-    }
-  }
-  return passthrough;
+  return stream::DriveUntilIdle(transport_, {this});
 }
 
 Result<stream::StreamStats> InteractionServer::StreamSessionStats(

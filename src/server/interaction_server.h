@@ -18,6 +18,7 @@
 #include "prefetch/cache.h"
 #include "server/room.h"
 #include "storage/object_store.h"
+#include "stream/drive.h"
 #include "stream/scheduler.h"
 
 namespace mmconf::server {
@@ -51,7 +52,7 @@ struct RoomReliabilityStats {
 /// Documents live in the database as BLOBs (type "Document"); rooms hold
 /// decoded working copies; presentation changes are propagated over the
 /// simulated network with only the changed components' bytes.
-class InteractionServer {
+class InteractionServer final : public stream::DriveParticipant {
  public:
   /// `db` and `network` must outlive the server. `db` is any
   /// ObjectStore implementation — a single DatabaseServer or the
@@ -196,14 +197,11 @@ class InteractionServer {
                                       const std::vector<Bytes>& objects,
                                       stream::StreamOptions options);
 
-  /// Drives every room's stream scheduler and the shared transport up to
-  /// virtual time `t`. Non-stream deliveries that arrived while pumping
-  /// (presentation deltas, broadcasts, acks of other traffic) are passed
-  /// through to the caller, exactly like ReliableTransport::AdvanceTo.
-  Result<std::vector<net::Delivery>> AdvanceStreams(MicrosT t);
-
-  /// Pumps until every open stream has finished (or aborted) and the
-  /// transport has no stream traffic left.
+  /// Runs stream::DriveUntilIdle over this server alone: pumps until
+  /// every open stream has finished (or aborted) and the transport is
+  /// idle. Non-stream deliveries (presentation deltas, broadcasts) are
+  /// passed through to the caller in arrival order. A server sharing
+  /// its transport is driven by its tier instead.
   Result<std::vector<net::Delivery>> AdvanceStreamsUntilIdle();
 
   /// Delivery/quality counters of one stream.
@@ -233,12 +231,8 @@ class InteractionServer {
                      const stream::StreamCarryover& carry,
                      MicrosT deadline_shift);
 
-  /// --- Shared-transport pumping primitives (federation) ---
-  /// When several servers share one ReliableTransport, no single server
-  /// may pump it (AdvanceStreams would swallow the other servers'
-  /// deliveries). The tier owns the pump loop and uses these to drive
-  /// each server's schedulers and to offer every delivery to each server
-  /// in turn.
+  /// --- Stream pumping primitives: this server's side of the drive
+  /// loop (stream/drive.h), across every room's scheduler ---
   void ObserveStreamAcks();
   size_t PumpStreams(MicrosT now);
   MicrosT NextStreamActionAt(MicrosT now) const;
@@ -272,6 +266,16 @@ class InteractionServer {
   void SetObserver(obs::MetricsRegistry* metrics, obs::Tracer* tracer);
 
  private:
+  // stream::DriveParticipant
+  void ObserveAcks() override { ObserveStreamAcks(); }
+  size_t Pump(MicrosT now) override { return PumpStreams(now); }
+  MicrosT NextActionAt(MicrosT now) const override {
+    return NextStreamActionAt(now);
+  }
+  bool OnDelivery(const net::Delivery& delivery) override {
+    return RouteDelivery(delivery);
+  }
+
   /// Sends `result`'s delta to every member except `origin` (empty
   /// origin = everyone, used for initial join payloads elsewhere).
   Status Propagate(Room* room, const ReconfigResult& result,

@@ -1,6 +1,5 @@
 #include "storage/database.h"
 
-#include <cstdio>
 #include <tuple>
 
 namespace mmconf::storage {
@@ -306,53 +305,6 @@ Status DatabaseServer::LoadFrom(const Bytes& snapshot) {
     }
   }
   return Status::OK();
-}
-
-Status DatabaseServer::SaveToFile(const std::string& path) const {
-  Bytes snapshot = Serialize();
-  std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + tmp + " for writing");
-  }
-  size_t written = std::fwrite(snapshot.data(), 1, snapshot.size(), f);
-  int close_rc = std::fclose(f);
-  if (written != snapshot.size() || close_rc != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-Status DatabaseServer::LoadFromFile(const std::string& path) {
-  // An interrupted SaveToFile can leave `path`.tmp behind. It is at best
-  // a torn duplicate of the snapshot we are about to read, so it must
-  // never be loaded; drop it so the directory converges to one file.
-  std::remove((path + ".tmp").c_str());
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open " + path);
-  }
-  Bytes snapshot;
-  uint8_t buffer[65536];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    snapshot.insert(snapshot.end(), buffer, buffer + n);
-  }
-  bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Corruption("error reading " + path);
-  }
-  if (snapshot.size() < 8) {
-    return Status::Corruption("snapshot " + path + " truncated to " +
-                              std::to_string(snapshot.size()) + " bytes");
-  }
-  return LoadFrom(snapshot);
 }
 
 Result<std::vector<ObjectRef>> DatabaseServer::List(

@@ -100,14 +100,6 @@ class DatabaseServer : public ObjectStore {
   /// FailedPrecondition if this instance already holds types.
   Status LoadFrom(const Bytes& snapshot);
 
-  /// File-backed convenience wrappers around Serialize/LoadFrom. Save
-  /// writes to `path`.tmp then renames — a torn write never destroys the
-  /// previous snapshot. Load ignores (and removes) a leftover `path`.tmp
-  /// from an interrupted save and returns Corruption, never crashes, on
-  /// a truncated or damaged snapshot.
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
-
   const Catalog& catalog() const { return catalog_; }
   const BlobStore& blob_store() const { return blobs_; }
   BlobStore& mutable_blob_store() { return blobs_; }

@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,6 +18,7 @@
 #include "server/interaction_server.h"
 #include "server/room.h"
 #include "storage/database.h"
+#include "stream/chunk.h"
 
 namespace mmconf::federation {
 namespace {
@@ -351,6 +353,126 @@ TEST_F(FederationTest, LiveStreamsMigrateWithTheRoom) {
   // the scheduler chose to drop under deadline pressure.
   EXPECT_EQ(stats[0].chunks_acked + stats[0].enhancement_chunks_dropped,
             stats[0].chunks_total);
+}
+
+/// When the transport first sent the message tagged `tag`, read off the
+/// tracer's first-send-to-ack span; -1 when the tag never acked.
+MicrosT FirstSentAt(const obs::Tracer& tracer, const std::string& tag) {
+  std::string json = tracer.ToJson();
+  size_t at = json.find("\"name\": \"" + tag + "\"");
+  if (at == std::string::npos) return -1;
+  size_t ts = json.find("\"ts\": ", at);
+  if (ts == std::string::npos) return -1;
+  return std::stoll(json.substr(ts + 6));
+}
+
+TEST_F(FederationTest, FreshStreamSendsItsFirstChunkAtOpen) {
+  std::string room_id = RoomOn(1);
+  tier_->OpenRoomWithDocument(room_id, MakeMedicalRecordDocument().value())
+      .value();
+  tier_->Join(room_id, {"dr-cohen", client1_}).value();
+  tier_->Settle().value();
+  obs::Tracer tracer(&clock_);
+  tier_->transport()->SetObserver(nullptr, &tracer);
+
+  // An ample link: every layer of every object fits well inside the
+  // deadlines, provided the first chunk leaves when the stream opens
+  // rather than at the first playout deadline.
+  const MicrosT opened_at = clock_.NowMicros();
+  stream::StreamOptions options;
+  options.start_deadline_micros = opened_at + 500000;
+  options.interval_micros = 200000;
+  options.chunk_bytes = 2048;
+  stream::StreamId id =
+      tier_->node(1)->OpenStream(room_id, "dr-cohen", EncodeObjects(3),
+                                 options)
+          .value();
+  tier_->Settle().value();
+
+  stream::StreamStats stats = tier_->node(1)->StreamSessionStats(id).value();
+  EXPECT_TRUE(stats.finished);
+  EXPECT_EQ(stats.playout.stalls, 0u);
+  EXPECT_EQ(stats.playout.total_stall_micros, 0);
+  EXPECT_EQ(stats.layers_dropped, 0u);
+  EXPECT_EQ(stats.enhancement_chunks_dropped, 0u);
+  EXPECT_EQ(stats.chunks_acked, stats.chunks_total);
+  EXPECT_EQ(FirstSentAt(tracer, stream::ChunkTag(id, 0)), opened_at);
+}
+
+TEST(FederationDriveTest, OneNodeTierStreamsLikeALoneServer) {
+  // The same stream over the same links, driven once by a lone server's
+  // AdvanceStreamsUntilIdle and once by a 1-node tier's Settle: one drive
+  // loop, so identical accounting. Node ids line up (db 0, server 1,
+  // client 2), and the 12 kB/s downlink forces pacing and layer drops.
+  const net::LinkSpec backbone{50e6, 1000};
+  const net::LinkSpec downlink{12e3, 20000};
+  stream::StreamOptions options;
+  options.interval_micros = 60000;
+  options.chunk_bytes = 1024;
+  const std::vector<Bytes> objects = EncodeObjects(4);
+
+  Clock solo_clock;
+  net::Network solo_net(&solo_clock);
+  net::NodeId solo_db = solo_net.AddNode("oracle");
+  net::NodeId solo_node = solo_net.AddNode("solo");
+  net::NodeId solo_client = solo_net.AddNode("client");
+  ASSERT_TRUE(solo_net.SetDuplexLink(solo_node, solo_db, backbone).ok());
+  ASSERT_TRUE(solo_net.SetDuplexLink(solo_node, solo_client, downlink).ok());
+  storage::DatabaseServer solo_db_server;
+  ASSERT_TRUE(solo_db_server.RegisterStandardTypes().ok());
+  InteractionServer solo(&solo_db_server, &solo_net, solo_node, solo_db);
+  net::ReliableTransport solo_transport(&solo_net);
+  solo.UseReliableTransport(&solo_transport);
+  solo.OpenRoomWithDocument("consult", MakeMedicalRecordDocument().value())
+      .value();
+  solo.Join("consult", {"dr-cohen", solo_client}).value();
+  solo.AdvanceStreamsUntilIdle().value();
+  const MicrosT opened_at = solo_clock.NowMicros();
+  options.start_deadline_micros = opened_at + 200000;
+  stream::StreamId solo_id =
+      solo.OpenStream("consult", "dr-cohen", objects, options).value();
+  solo.AdvanceStreamsUntilIdle().value();
+
+  Clock tier_clock;
+  net::Network tier_net(&tier_clock);
+  net::NodeId tier_db = tier_net.AddNode("oracle");
+  storage::DatabaseServer tier_db_server;
+  ASSERT_TRUE(tier_db_server.RegisterStandardTypes().ok());
+  FederationOptions fed;
+  fed.num_nodes = 1;
+  fed.backbone = backbone;
+  FederatedInteractionTier tier(&tier_db_server, &tier_net, tier_db, fed);
+  net::NodeId tier_client = tier_net.AddNode("client");
+  ASSERT_EQ(tier.node_net(0), solo_node);
+  ASSERT_EQ(tier_client, solo_client);
+  ASSERT_TRUE(tier.ConnectClient(tier_client, downlink).ok());
+  tier.OpenRoomWithDocument("consult", MakeMedicalRecordDocument().value())
+      .value();
+  tier.Join("consult", {"dr-cohen", tier_client}).value();
+  tier.Settle().value();
+  ASSERT_EQ(tier_clock.NowMicros(), opened_at);
+  stream::StreamId tier_id =
+      tier.node(0)->OpenStream("consult", "dr-cohen", objects, options)
+          .value();
+  tier.Settle().value();
+
+  stream::StreamStats a = solo.StreamSessionStats(solo_id).value();
+  stream::StreamStats b = tier.node(0)->StreamSessionStats(tier_id).value();
+  auto key = [](const stream::StreamStats& s) {
+    return std::make_tuple(
+        s.id, s.client, s.chunks_total, s.chunks_sent, s.chunks_acked,
+        s.chunks_failed, s.enhancement_chunks_dropped, s.layers_dropped,
+        s.bytes_sent, s.estimated_rate_bytes_per_sec, s.aborted, s.finished,
+        s.playout.objects_expected, s.playout.objects_played, s.playout.stalls,
+        s.playout.total_stall_micros, s.playout.max_stall_micros,
+        s.playout.layers_delivered_total, s.playout.min_layers,
+        s.playout.bytes_received, s.playout.bytes_played,
+        s.playout.wasted_bytes, s.playout.high_water_bytes);
+  };
+  EXPECT_TRUE(a.finished);
+  EXPECT_GT(a.layers_dropped, 0u);  // the link really constrained it
+  EXPECT_EQ(key(a), key(b));
+  EXPECT_EQ(solo_clock.NowMicros(), tier_clock.NowMicros());
 }
 
 TEST_F(FederationTest, LoadsAndMetricsTrackNodesAndMigrations) {

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "common/rng.h"
 #include "storage/database.h"
 
@@ -90,74 +88,17 @@ TEST_F(PersistenceTest, LoadIntoNonEmptyDatabaseRefused) {
   EXPECT_TRUE(db_.LoadFrom(snapshot).IsFailedPrecondition());
 }
 
-TEST_F(PersistenceTest, FileRoundTrip) {
-  const std::string path = "/tmp/mmconf_persistence_test.db";
-  ASSERT_TRUE(db_.SaveToFile(path).ok());
-  DatabaseServer restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_EQ(restored.FetchBlob(image_ref_, "FLD_DATA").value(),
-            image_payload_);
-  std::remove(path.c_str());
-  DatabaseServer missing;
-  EXPECT_TRUE(missing.LoadFromFile(path).IsNotFound());
-}
-
-TEST_F(PersistenceTest, SaveIsAtomicOverExistingSnapshot) {
-  const std::string path = "/tmp/mmconf_persistence_atomic.db";
-  ASSERT_TRUE(db_.SaveToFile(path).ok());
-  // Mutate and save again: the file is replaced wholesale.
-  ASSERT_TRUE(db_.Modify(text_ref_, {{"FLD_TITLE", std::string("edited")}},
-                         {})
-                  .ok());
-  ASSERT_TRUE(db_.SaveToFile(path).ok());
-  DatabaseServer restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_EQ(std::get<std::string>(restored.FetchRecord(text_ref_)
-                                      .value()
-                                      .fields.at("FLD_TITLE")),
-            "edited");
-  std::remove(path.c_str());
-}
-
-TEST_F(PersistenceTest, LoadIgnoresAndRemovesLeftoverTmpFile) {
-  const std::string path = "/tmp/mmconf_persistence_leftover.db";
-  const std::string tmp = path + ".tmp";
-  ASSERT_TRUE(db_.SaveToFile(path).ok());
-  // Simulate a save interrupted mid-write: a half-written .tmp next to
-  // a good snapshot. Load must use the snapshot and clean up the .tmp.
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("torn half-written snapshot", f);
-  std::fclose(f);
-  DatabaseServer restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  EXPECT_EQ(restored.FetchBlob(image_ref_, "FLD_DATA").value(),
-            image_payload_);
-  f = std::fopen(tmp.c_str(), "rb");
-  EXPECT_EQ(f, nullptr) << "leftover .tmp should have been removed";
-  if (f != nullptr) std::fclose(f);
-  std::remove(path.c_str());
-}
-
 TEST_F(PersistenceTest, TruncatedSnapshotFileIsCorruptionNotCrash) {
-  const std::string path = "/tmp/mmconf_persistence_truncated.db";
-  ASSERT_TRUE(db_.SaveToFile(path).ok());
   Bytes full = db_.Serialize();
-  // Every truncation point — including cutting into the trailing CRC —
-  // must surface as Corruption, never a crash or a partial load.
+  // A snapshot cut short at any point — including into the trailing CRC
+  // — must surface as Corruption, never a crash or a partial load.
   for (size_t keep : {size_t{0}, size_t{3}, size_t{7}, full.size() / 2,
                       full.size() - 2}) {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (keep > 0) {
-      ASSERT_EQ(std::fwrite(full.data(), 1, keep, f), keep);
-    }
-    std::fclose(f);
+    Bytes truncated(full.begin(), full.begin() + keep);
     DatabaseServer restored;
-    EXPECT_TRUE(restored.LoadFromFile(path).IsCorruption())
+    EXPECT_TRUE(restored.LoadFrom(truncated).IsCorruption())
         << "truncated to " << keep << " bytes";
   }
-  std::remove(path.c_str());
 }
 
 TEST(PersistenceEmptyTest, EmptyDatabaseRoundTrips) {

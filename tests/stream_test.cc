@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +16,7 @@
 #include "storage/database.h"
 #include "stream/chunk.h"
 #include "stream/chunker.h"
+#include "stream/drive.h"
 #include "stream/playout.h"
 #include "stream/rate.h"
 #include "stream/scheduler.h"
@@ -462,6 +464,131 @@ TEST(StreamSchedulerTest, RequiresTransportThroughServer) {
                   .OpenStream("consult", "dr-cohen", EncodeObjects(1), {})
                   .status()
                   .IsFailedPrecondition());
+}
+
+// --- The drive loop ---
+
+/// A scripted drive-loop participant: sends one message per tag in
+/// `sends` on its first pump, consumes deliveries whose tag starts with
+/// `consume_prefix`, and optionally "resolves" (like a stream playing its
+/// last object) on the first pump at or after `resolve_at`.
+class ScriptedParticipant : public DriveParticipant {
+ public:
+  ScriptedParticipant(net::ReliableTransport* transport, net::NodeId from,
+                      net::NodeId to, std::vector<std::string> sends,
+                      std::string consume_prefix, MicrosT resolve_at = -1)
+      : transport_(transport),
+        from_(from),
+        to_(to),
+        sends_(std::move(sends)),
+        consume_prefix_(std::move(consume_prefix)),
+        resolve_at_(resolve_at) {}
+
+  void ObserveAcks() override {
+    observed_after_pump = true;
+    reaped = resolved;
+    acks_observed = 0;
+    for (net::MsgId id : sent_ids_) {
+      if (transport_->StateOf(id).value_or(net::SendState::kInFlight) ==
+          net::SendState::kAcked) {
+        ++acks_observed;
+      }
+    }
+  }
+
+  size_t Pump(MicrosT now) override {
+    observed_after_pump = false;
+    pump_times.push_back(now);
+    if (resolve_at_ >= 0 && now >= resolve_at_) resolved = true;
+    for (const std::string& tag : sends_) {
+      sent_ids_.push_back(transport_->Send(from_, to_, 100, tag).value().id);
+    }
+    size_t sent = sends_.size();
+    sends_.clear();
+    return sent;
+  }
+
+  MicrosT NextActionAt(MicrosT now) const override {
+    return !resolved && resolve_at_ > now ? resolve_at_ : -1;
+  }
+
+  bool OnDelivery(const net::Delivery& delivery) override {
+    offered.push_back(delivery.tag);
+    return delivery.tag.rfind(consume_prefix_, 0) == 0;
+  }
+
+  std::vector<std::string> offered;
+  std::vector<MicrosT> pump_times;
+  size_t acks_observed = 0;
+  bool observed_after_pump = false;
+  bool resolved = false;
+  bool reaped = false;
+
+ private:
+  net::ReliableTransport* transport_;
+  net::NodeId from_, to_;
+  std::vector<std::string> sends_;
+  std::vector<net::MsgId> sent_ids_;
+  std::string consume_prefix_;
+  MicrosT resolve_at_;
+};
+
+class DriveLoopTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    network_ = std::make_unique<net::Network>(&clock_);
+    a_ = network_->AddNode("a");
+    b_ = network_->AddNode("b");
+    ASSERT_TRUE(network_->SetDuplexLink(a_, b_, {1e6, 5000}).ok());
+    transport_ = std::make_unique<net::ReliableTransport>(network_.get());
+  }
+
+  Clock clock_;
+  std::unique_ptr<net::Network> network_;
+  std::unique_ptr<net::ReliableTransport> transport_;
+  net::NodeId a_ = 0, b_ = 0;
+};
+
+TEST_F(DriveLoopTest, FirstConsumerWinsAndLeftoversKeepArrivalOrder) {
+  const std::vector<std::string> sent = {"x:1", "mine:1", "x:2", "mine:2",
+                                         "x:3"};
+  const std::vector<std::string> declined = {"x:1", "x:2", "x:3"};
+  ScriptedParticipant first(transport_.get(), a_, b_, sent, "mine:");
+  ScriptedParticipant second(transport_.get(), a_, b_, {}, "never:");
+  std::vector<net::Delivery> left =
+      DriveUntilIdle(transport_.get(), {&first, &second});
+
+  // The first participant saw everything; the second only what the
+  // first declined, and that is what comes back, in arrival order.
+  EXPECT_EQ(first.offered, sent);
+  EXPECT_EQ(second.offered, declined);
+  std::vector<std::string> left_tags;
+  for (const net::Delivery& delivery : left) left_tags.push_back(delivery.tag);
+  EXPECT_EQ(left_tags, declined);
+  EXPECT_EQ(transport_->in_flight(), 0u);
+  EXPECT_EQ(network_->pending(), 0u);
+}
+
+TEST_F(DriveLoopTest, PumpsBeforeAdvancingAndObservesAfterTheLastPump) {
+  const MicrosT start = clock_.NowMicros();
+  // `late` only resolves at its wake-up; `sender` ships two messages.
+  ScriptedParticipant late(transport_.get(), a_, b_, {}, "late:",
+                           start + 300000);
+  ScriptedParticipant sender(transport_.get(), a_, b_, {"m:1", "m:2"}, "m:");
+  DriveUntilIdle(transport_.get(), {&late, &sender});
+
+  // The very first pump happens before any time passes.
+  ASSERT_FALSE(sender.pump_times.empty());
+  EXPECT_EQ(sender.pump_times.front(), start);
+  EXPECT_EQ(late.pump_times.front(), start);
+  // The resolving pump ran at the wake-up, and the loop did not return
+  // before both participants observed acks after their last pump.
+  EXPECT_EQ(late.pump_times.back(), start + 300000);
+  EXPECT_TRUE(late.resolved);
+  EXPECT_TRUE(late.reaped);
+  EXPECT_TRUE(late.observed_after_pump);
+  EXPECT_TRUE(sender.observed_after_pump);
+  EXPECT_EQ(sender.acks_observed, 2u);
 }
 
 }  // namespace
