@@ -25,16 +25,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/rng.h"
 #include "doc/tuning.h"
 #include "fanout/broadcast.h"
 #include "fanout/compositor.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "net/network.h"
 #include "net/reliable.h"
@@ -218,37 +217,21 @@ std::vector<FanoutRow> RunAudienceSweep(bool smoke,
   return rows;
 }
 
-bool WriteJson(const std::string& path, const std::vector<FanoutRow>& rows,
-               bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"broadcast_audience_sweep\",\n"
-               "  \"smoke\": %s,\n  \"sweep\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const FanoutRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"audience\": %zu, \"frames\": %zu, \"relays\": %zu, "
-        "\"rebuilds\": %zu, \"server_egress_bytes\": %zu, "
-        "\"tree_wire_bytes\": %zu, \"modeled_last_hop_bytes\": %zu, "
-        "\"unicast_equiv_bytes\": %zu, \"per_viewer_bytes\": %.1f, "
-        "\"streams_opened\": %zu, \"streams_aborted\": %zu, "
-        "\"enhancement_dropped\": %zu, \"no_base_drops\": %s, "
-        "\"all_finished\": %s}%s\n",
-        row.audience, row.frames, row.relays, row.rebuilds,
-        row.server_egress_bytes, row.tree_wire_bytes,
-        row.modeled_last_hop_bytes, row.unicast_equiv_bytes,
-        row.per_viewer_bytes, row.streams_opened, row.streams_aborted,
-        row.enhancement_dropped, row.no_base_drops ? "true" : "false",
-        row.all_finished ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const FanoutRow& row) {
+  return bench::Format(
+      "{\"audience\": %zu, \"frames\": %zu, \"relays\": %zu, "
+      "\"rebuilds\": %zu, \"server_egress_bytes\": %zu, "
+      "\"tree_wire_bytes\": %zu, \"modeled_last_hop_bytes\": %zu, "
+      "\"unicast_equiv_bytes\": %zu, \"per_viewer_bytes\": %.1f, "
+      "\"streams_opened\": %zu, \"streams_aborted\": %zu, "
+      "\"enhancement_dropped\": %zu, \"no_base_drops\": %s, "
+      "\"all_finished\": %s}",
+      row.audience, row.frames, row.relays, row.rebuilds,
+      row.server_egress_bytes, row.tree_wire_bytes, row.modeled_last_hop_bytes,
+      row.unicast_equiv_bytes, row.per_viewer_bytes, row.streams_opened,
+      row.streams_aborted, row.enhancement_dropped,
+      row.no_base_drops ? "true" : "false",
+      row.all_finished ? "true" : "false");
 }
 
 void BM_ComposeFrame(benchmark::State& state) {
@@ -295,46 +278,10 @@ BENCHMARK(BM_PushFrameThroughTree)->Arg(1000)->Arg(10000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_broadcast.json";
-  std::string metrics_path;
-  std::string trace_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(nullptr);
-  bench::ObsSinks sinks;
-  if (!metrics_path.empty()) sinks.metrics = &registry;
-  if (!trace_path.empty()) sinks.tracer = &tracer;
-
-  std::vector<FanoutRow> rows = RunAudienceSweep(smoke, sinks);
-  bool wrote = WriteJson(json_path, rows, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, tracer.ToJson()) && wrote;
-  }
+  bench::Harness harness("broadcast", /*traced=*/true);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<FanoutRow> rows =
+      RunAudienceSweep(harness.smoke(), harness.sinks());
   bool healthy = true;
   for (const FanoutRow& row : rows) {
     healthy = healthy && row.no_base_drops && row.all_finished &&
@@ -353,14 +300,7 @@ int main(int argc, char** argv) {
         static_cast<double>(first.server_egress_bytes);
     healthy = healthy && egress_ratio < audience_ratio / 2.0;
   }
-  if (smoke) {
-    // ctest perf smoke: fail when a base layer drops, a viewer stream
-    // never resolves, the tree fails to undercut unicast, or the JSON
-    // cannot be produced.
-    return healthy && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return healthy && wrote ? 0 : 1;
+  return harness.Finish(
+      healthy,
+      bench::MakeReport("broadcast_audience_sweep", "sweep", rows, JsonRow));
 }

@@ -22,11 +22,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
+#include "harness.h"
 #include "workload/chaos.h"
 #include "workload/generator.h"
 
@@ -118,53 +118,37 @@ void PrintCell(const ChaosCell& cell, const char* argv0) {
   }
 }
 
-bool WriteJson(const std::string& path, const std::vector<ChaosCell>& cells,
-               bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"chaos_suite\",\n"
-               "  \"smoke\": %s,\n  \"cells\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const ChaosCell& cell = cells[i];
-    const workload::ChaosReport& r = cell.report;
-    const workload::InvariantReport& inv = r.invariants;
-    std::fprintf(
-        out,
-        "    {\"scenario\": \"%s\", \"seed\": %llu, \"events\": %zu, "
-        "\"applied\": %zu, \"skipped\": %zu, \"rooms_opened\": %zu, "
-        "\"rooms_closed\": %zu, \"migrations\": %zu, "
-        "\"migrations_failed\": %zu, \"shard_crashes\": %zu, "
-        "\"node_losses\": %zu, \"promotions\": %zu, "
-        "\"streams\": %zu, \"frames\": %zu, \"wire_bytes\": %zu, "
-        "\"end_ms\": %.1f, \"max_stall_ms\": %.2f, \"max_t2c_ms\": %.2f, "
-        "\"base_layers_intact\": %s, \"storage_recovery_exact\": %s, "
-        "\"rooms_converged\": %s, \"serialize_converged\": %s, "
-        "\"stalls_within_budget\": %s, \"t2c_within_budget\": %s, "
-        "\"replication_failover_exact\": %s, "
-        "\"invariants_held\": %s}%s\n",
-        workload::ScenarioMixToString(cell.mix),
-        static_cast<unsigned long long>(cell.seed), r.events_total,
-        r.events_applied, r.events_skipped, r.rooms_opened, r.rooms_closed,
-        r.migrations, r.migrations_failed, r.shard_crashes, r.node_losses,
-        r.promotions, r.streams_opened, r.broadcast_frames, r.wire_bytes,
-        static_cast<double>(r.end_micros) / 1000.0,
-        static_cast<double>(r.max_stall_micros) / 1000.0,
-        static_cast<double>(r.max_t2c_micros) / 1000.0,
-        inv.base_layers_intact ? "true" : "false",
-        inv.storage_recovery_exact ? "true" : "false",
-        inv.rooms_converged ? "true" : "false",
-        inv.serialize_converged ? "true" : "false",
-        inv.stalls_within_budget ? "true" : "false",
-        inv.t2c_within_budget ? "true" : "false",
-        inv.replication_failover_exact ? "true" : "false",
-        inv.AllHeld() ? "true" : "false", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const ChaosCell& cell) {
+  const workload::ChaosReport& r = cell.report;
+  const workload::InvariantReport& inv = r.invariants;
+  return bench::Format(
+      "{\"scenario\": \"%s\", \"seed\": %llu, \"events\": %zu, "
+      "\"applied\": %zu, \"skipped\": %zu, \"rooms_opened\": %zu, "
+      "\"rooms_closed\": %zu, \"migrations\": %zu, "
+      "\"migrations_failed\": %zu, \"shard_crashes\": %zu, "
+      "\"node_losses\": %zu, \"promotions\": %zu, "
+      "\"streams\": %zu, \"frames\": %zu, \"wire_bytes\": %zu, "
+      "\"end_ms\": %.1f, \"max_stall_ms\": %.2f, \"max_t2c_ms\": %.2f, "
+      "\"base_layers_intact\": %s, \"storage_recovery_exact\": %s, "
+      "\"rooms_converged\": %s, \"serialize_converged\": %s, "
+      "\"stalls_within_budget\": %s, \"t2c_within_budget\": %s, "
+      "\"replication_failover_exact\": %s, \"invariants_held\": %s}",
+      workload::ScenarioMixToString(cell.mix),
+      static_cast<unsigned long long>(cell.seed), r.events_total,
+      r.events_applied, r.events_skipped, r.rooms_opened, r.rooms_closed,
+      r.migrations, r.migrations_failed, r.shard_crashes, r.node_losses,
+      r.promotions, r.streams_opened, r.broadcast_frames, r.wire_bytes,
+      static_cast<double>(r.end_micros) / 1000.0,
+      static_cast<double>(r.max_stall_micros) / 1000.0,
+      static_cast<double>(r.max_t2c_micros) / 1000.0,
+      inv.base_layers_intact ? "true" : "false",
+      inv.storage_recovery_exact ? "true" : "false",
+      inv.rooms_converged ? "true" : "false",
+      inv.serialize_converged ? "true" : "false",
+      inv.stalls_within_budget ? "true" : "false",
+      inv.t2c_within_budget ? "true" : "false",
+      inv.replication_failover_exact ? "true" : "false",
+      inv.AllHeld() ? "true" : "false");
 }
 
 void BM_GenerateTrace(benchmark::State& state) {
@@ -191,64 +175,29 @@ BENCHMARK(BM_ChaosConsultRun);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_chaos.json";
-  std::string metrics_path;
-  std::string trace_path;
-  std::string only_scenario;
-  uint64_t only_seed = 0;
-  bool have_only_seed = false;
-  uint64_t seed_base = 1;
-  size_t num_seeds = 3;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--node_loss") == 0) {
-      g_node_loss = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
-      only_scenario = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      only_seed = std::strtoull(argv[i] + 7, nullptr, 10);
-      have_only_seed = true;
-    } else if (std::strncmp(argv[i], "--seed_base=", 12) == 0) {
-      seed_base = std::strtoull(argv[i] + 12, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--seeds=", 8) == 0) {
-      num_seeds = std::strtoull(argv[i] + 8, nullptr, 10);
-      if (num_seeds == 0) num_seeds = 1;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
   std::vector<workload::ScenarioMix> mixes = {
       workload::ScenarioMix::kLecture, workload::ScenarioMix::kConsult,
       workload::ScenarioMix::kMixed};
-  if (!only_scenario.empty()) {
-    Result<workload::ScenarioMix> parsed =
-        workload::ScenarioMixFromString(only_scenario);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 1;
-    }
-    mixes = {parsed.value()};
-  }
+  std::optional<uint64_t> only_seed;
+  uint64_t seed_base = 1;
+  uint64_t num_seeds = 3;
+  bench::Harness harness("chaos", /*traced=*/true);
+  harness.Switch("node_loss", &g_node_loss);
+  harness.Value("scenario", [&mixes](const std::string& name) {
+    Result<workload::ScenarioMix> mix = workload::ScenarioMixFromString(name);
+    if (mix.ok()) mixes = {mix.value()};
+    return mix.ok();
+  });
+  harness.Count("seed", &only_seed);
+  harness.Count("seed_base", &seed_base);
+  harness.Count("seeds", &num_seeds, /*min=*/1);
+  if (!harness.Start(argc, argv)) return 1;
+
   std::vector<uint64_t> seeds;
-  if (have_only_seed) {
-    seeds = {only_seed};
+  if (only_seed) {
+    seeds = {*only_seed};
   } else {
-    for (size_t i = 0; i < num_seeds; ++i) seeds.push_back(seed_base + i);
+    for (uint64_t i = 0; i < num_seeds; ++i) seeds.push_back(seed_base + i);
   }
 
   std::printf("== chaos: %zu scenario mix(es) x %zu seed(s), "
@@ -259,40 +208,22 @@ int main(int argc, char** argv) {
               "streams", "frames", "wire(B)", "invariants");
   std::vector<ChaosCell> cells;
   bool healthy = true;
-  std::string artifact_metrics;
-  std::string artifact_trace;
   for (workload::ScenarioMix mix : mixes) {
     for (uint64_t seed : seeds) {
       obs::MetricsRegistry metrics;
       ChaosCell cell = RunCell(mix, seed, &metrics);
       PrintCell(cell, argv[0]);
-      bool held = cell.report.invariants.AllHeld();
       // Keep the first failing cell's artifacts (or the last cell's,
       // when everything held) for --metrics_out / --trace_out: capture
       // while no failure has been seen, then stop overwriting.
-      if (healthy && (!metrics_path.empty() || !trace_path.empty())) {
-        artifact_metrics = metrics.Snapshot().ToJson();
-        artifact_trace = GenerateCell(mix, seed).ToText();
+      if (healthy && harness.sinks().enabled()) {
+        harness.SetArtifacts(metrics.Snapshot().ToJson(),
+                             GenerateCell(mix, seed).ToText());
       }
-      if (!held) healthy = false;
+      if (!cell.report.invariants.AllHeld()) healthy = false;
       cells.push_back(std::move(cell));
     }
   }
-
-  bool wrote = WriteJson(json_path, cells, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path, artifact_metrics) && wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, artifact_trace) && wrote;
-  }
-  if (smoke) {
-    // ctest / CI gate: fail when any invariant breaks or a report
-    // cannot be produced.
-    return healthy && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return healthy && wrote ? 0 : 1;
+  return harness.Finish(
+      healthy, bench::MakeReport("chaos_suite", "cells", cells, JsonRow));
 }

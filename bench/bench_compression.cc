@@ -20,18 +20,16 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "compress/best_basis.h"
 #include "compress/layered_codec.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "obs/metrics.h"
 
@@ -222,13 +220,6 @@ BENCHMARK(BM_DecodeThumbnail)->Arg(1)->Arg(3);
 
 // --- Kernel ablation ------------------------------------------------
 
-double NowUs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-             .count() /
-         1000.0;
-}
-
 struct TapSet {
   std::vector<double> low, high;
 };
@@ -356,22 +347,18 @@ ScenarioResult RunDwtScenario(compress::WaveletBasis basis, int size,
   TextbookDwt2D(reference, levels, /*forward=*/false, basis);
   result.ok = result.ok && fast.data == reference.data;
 
-  double t0 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
     compress::Plane plane = input;
     TextbookDwt2D(plane, levels, true, basis);
     TextbookDwt2D(plane, levels, false, basis);
     benchmark::DoNotOptimize(plane.data.data());
-  }
-  result.baseline_us = (NowUs() - t0) / reps;
-  double t1 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  });
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
     compress::Plane plane = input;
     compress::Dwt2D(plane, levels, basis).ok();
     compress::Idwt2D(plane, levels, basis).ok();
     benchmark::DoNotOptimize(plane.data.data());
-  }
-  result.fast_us = (NowUs() - t1) / reps;
+  });
   return result;
 }
 
@@ -416,17 +403,12 @@ ScenarioResult RunCrcScenario(size_t buffer_bytes, int reps) {
   }
 
   SetCrc32cImpl(Crc32cImpl::kTable);
-  double t0 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  auto crc_buffer = [&] {
     benchmark::DoNotOptimize(Crc32c(buffer.data(), buffer.size()));
-  }
-  result.baseline_us = (NowUs() - t0) / reps;
+  };
+  result.baseline_us = bench::MeanWallMicros(reps, crc_buffer);
   SetCrc32cImpl(Crc32cImpl::kAuto);
-  double t1 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
-    benchmark::DoNotOptimize(Crc32c(buffer.data(), buffer.size()));
-  }
-  result.fast_us = (NowUs() - t1) / reps;
+  result.fast_us = bench::MeanWallMicros(reps, crc_buffer);
   return result;
 }
 
@@ -443,12 +425,10 @@ ScenarioResult RunCodecScenario(int size, int reps) {
   result.ok = media::Image::Psnr(ct, decoded).value() > 28.0;
 
   // No "before" codec is carried; only the current pipeline is timed.
-  double t1 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
     Bytes encoded = codec.Encode(ct).value();
     benchmark::DoNotOptimize(LayeredCodec::Decode(encoded));
-  }
-  result.fast_us = (NowUs() - t1) / reps;
+  });
   return result;
 }
 
@@ -489,76 +469,28 @@ std::vector<ScenarioResult> RunKernelAblation(
   return results;
 }
 
-bool WriteJson(const std::string& path,
-               const std::vector<ScenarioResult>& results, bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"compression_kernels\",\n"
-               "  \"smoke\": %s,\n  \"scenarios\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& result = results[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"bytes\": %zu, \"baseline_us\": %.3f, "
-        "\"fast_us\": %.3f, \"speedup\": %.2f, \"ok\": %s}%s\n",
-        result.name.c_str(), result.bytes, result.baseline_us,
-        result.fast_us, result.Speedup(), result.ok ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const ScenarioResult& result) {
+  return bench::Format(
+      "{\"name\": \"%s\", \"bytes\": %zu, \"baseline_us\": %.3f, "
+      "\"fast_us\": %.3f, \"speedup\": %.2f, \"ok\": %s}",
+      result.name.c_str(), result.bytes, result.baseline_us, result.fast_us,
+      result.Speedup(), result.ok ? "true" : "false");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_compression.json";
-  std::string metrics_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* metrics =
-      metrics_path.empty() ? nullptr : &registry;
-
-  std::vector<ScenarioResult> results = RunKernelAblation(smoke, metrics);
-  bool wrote = WriteJson(json_path, results, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
+  bench::Harness harness("compression", /*traced=*/false);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<ScenarioResult> results =
+      RunKernelAblation(harness.smoke(), harness.metrics());
   bool checks_ok = true;
   for (const ScenarioResult& result : results) {
     checks_ok = checks_ok && result.ok;
   }
-  if (smoke) {
-    // ctest perf smoke: fail when a kernel diverges from its reference
-    // or the JSON cannot be produced; timing itself is not asserted.
-    return checks_ok && wrote ? 0 : 1;
-  }
-  PrintFigure9();
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return checks_ok && wrote ? 0 : 1;
+  return harness.Finish(
+      checks_ok,
+      bench::MakeReport("compression_kernels", "scenarios", results,
+                        JsonRow),
+      PrintFigure9);
 }

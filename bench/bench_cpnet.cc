@@ -18,21 +18,20 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/rng.h"
 #include "cpnet/brute_force.h"
 #include "cpnet/cpnet.h"
 #include "doc/builder.h"
+#include "harness.h"
 #include "obs/metrics.h"
 
 namespace {
 
+namespace bench = mmconf::bench;
 namespace obs = mmconf::obs;
 
 using mmconf::Rng;
@@ -70,25 +69,14 @@ void PrintFigure2() {
     Rng rng(100 + static_cast<uint64_t>(n));
     CpNet net_n = mmconf::doc::MakeRandomCpNet(n, 2, 2, rng);
     Assignment evidence(net_n.num_variables());
-    // Time the sweep.
-    auto clock_us = [] {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count() /
-             1000.0;
-    };
-    double t0 = clock_us();
-    const int sweep_reps = 1000;
-    for (int rep = 0; rep < sweep_reps; ++rep) {
+    double sweep_us = bench::MeanWallMicros(1000, [&] {
       benchmark::DoNotOptimize(net_n.OptimalCompletion(evidence));
-    }
-    double sweep_us = (clock_us() - t0) / sweep_reps;
+    });
     double brute_us = -1;
     if (n <= 16) {
-      double t1 = clock_us();
-      benchmark::DoNotOptimize(
-          BruteForceOptimalCompletion(net_n, evidence));
-      brute_us = clock_us() - t1;
+      brute_us = bench::MeanWallMicros(1, [&] {
+        benchmark::DoNotOptimize(BruteForceOptimalCompletion(net_n, evidence));
+      });
     }
     if (brute_us >= 0) {
       std::printf("%-8d %-16.2f %-16.1f %.0fx\n", n, sweep_us, brute_us,
@@ -161,13 +149,6 @@ CpNet MakeFanOutNet(int n) {
 
 // --- Incremental-recompletion ablation ------------------------------
 
-double NowUs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-             .count() /
-         1000.0;
-}
-
 struct ScenarioResult {
   std::string name;
   size_t vars = 0;
@@ -235,8 +216,8 @@ ScenarioResult RunScenario(const std::string& name, const CpNet& net,
   }
   net.SetObserver(nullptr);  // timing loops run unobserved
 
-  double t0 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  const double pairs = static_cast<double>(result.pairs);
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
     for (VarId v = 0; v < static_cast<VarId>(net.num_variables()); ++v) {
       for (ValueId value = 0; value < net.DomainSize(v); ++value) {
         Assignment evidence(net.num_variables());
@@ -244,19 +225,14 @@ ScenarioResult RunScenario(const std::string& name, const CpNet& net,
         benchmark::DoNotOptimize(net.OptimalCompletion(evidence));
       }
     }
-  }
-  result.baseline_us =
-      (NowUs() - t0) / (reps * static_cast<double>(result.pairs));
-  double t1 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  }) / pairs;
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
     for (VarId v = 0; v < static_cast<VarId>(net.num_variables()); ++v) {
       for (ValueId value = 0; value < net.DomainSize(v); ++value) {
         benchmark::DoNotOptimize(net.RecompleteInto(base, v, value, &fast));
       }
     }
-  }
-  result.fast_us =
-      (NowUs() - t1) / (reps * static_cast<double>(result.pairs));
+  }) / pairs;
   return result;
 }
 
@@ -300,34 +276,17 @@ std::vector<ScenarioResult> RunRecompleteAblation(
   return results;
 }
 
-bool WriteJson(const std::string& path,
-               const std::vector<ScenarioResult>& results, bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"cpnet_recomplete\",\n"
-               "  \"smoke\": %s,\n  \"scenarios\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& result = results[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"vars\": %zu, \"pairs\": %zu, "
-        "\"rows_touched\": %llu, \"vars_skipped\": %llu, "
-        "\"baseline_us\": %.3f, \"fast_us\": %.3f, \"speedup\": %.2f, "
-        "\"identical\": %s, \"oracle_match\": %s}%s\n",
-        result.name.c_str(), result.vars, result.pairs,
-        static_cast<unsigned long long>(result.rows_touched),
-        static_cast<unsigned long long>(result.vars_skipped),
-        result.baseline_us, result.fast_us, result.Speedup(),
-        result.identical ? "true" : "false",
-        result.oracle_match ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return mmconf::bench::CloseChecked(out, path);
+std::string JsonRow(const ScenarioResult& result) {
+  return bench::Format(
+      "{\"name\": \"%s\", \"vars\": %zu, \"pairs\": %zu, "
+      "\"rows_touched\": %llu, \"vars_skipped\": %llu, "
+      "\"baseline_us\": %.3f, \"fast_us\": %.3f, \"speedup\": %.2f, "
+      "\"identical\": %s, \"oracle_match\": %s}",
+      result.name.c_str(), result.vars, result.pairs,
+      static_cast<unsigned long long>(result.rows_touched),
+      static_cast<unsigned long long>(result.vars_skipped), result.baseline_us,
+      result.fast_us, result.Speedup(), result.identical ? "true" : "false",
+      result.oracle_match ? "true" : "false");
 }
 
 /// Full re-sweep under a single-variable pin — the "before" of the
@@ -398,54 +357,16 @@ BENCHMARK(BM_ImprovingFlips)->Arg(32)->Arg(256);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_cpnet.json";
-  std::string metrics_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!mmconf::bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() &&
-      !mmconf::bench::ProbeWritable(metrics_path)) {
-    return 1;
-  }
-
-  mmconf::obs::MetricsRegistry registry;
-  mmconf::obs::MetricsRegistry* metrics =
-      metrics_path.empty() ? nullptr : &registry;
-
+  bench::Harness harness("cpnet", /*traced=*/false);
+  if (!harness.Start(argc, argv)) return 1;
   std::vector<ScenarioResult> results =
-      RunRecompleteAblation(smoke, metrics);
-  bool wrote = WriteJson(json_path, results, smoke);
-  if (!metrics_path.empty()) {
-    wrote = mmconf::bench::WriteFileChecked(
-                metrics_path, registry.Snapshot().ToJson()) &&
-            wrote;
-  }
+      RunRecompleteAblation(harness.smoke(), harness.metrics());
   bool checks_ok = true;
   for (const ScenarioResult& result : results) {
     checks_ok = checks_ok && result.identical && result.oracle_match;
   }
-  if (smoke) {
-    // ctest perf smoke: fail when the incremental sweep disagrees with
-    // the full sweep or the oracle, or the JSON cannot be produced;
-    // timing itself is not asserted.
-    return checks_ok && wrote ? 0 : 1;
-  }
-  PrintFigure2();
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return checks_ok && wrote ? 0 : 1;
+  return harness.Finish(
+      checks_ok,
+      bench::MakeReport("cpnet_recomplete", "scenarios", results, JsonRow),
+      PrintFigure2);
 }

@@ -16,17 +16,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/rng.h"
 #include "compress/layered_codec.h"
 #include "doc/builder.h"
 #include "federation/placement.h"
 #include "federation/tier.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "net/network.h"
 #include "server/interaction_server.h"
@@ -225,34 +224,19 @@ std::vector<FedRow> RunScaleSweep(bool smoke,
   return rows;
 }
 
-bool WriteJson(const std::string& path, const std::vector<FedRow>& rows,
-               bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"federation_scale_sweep\",\n"
-               "  \"smoke\": %s,\n  \"sweep\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const FedRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"nodes\": %zu, \"rooms\": %zu, \"rounds\": %d, "
-        "\"routed\": %zu, \"worst_t2c_ms\": %.2f, \"wire_bytes\": %zu, "
-        "\"max_node_rooms\": %zu, \"min_node_rooms\": %zu, "
-        "\"migration_ms\": %.2f, \"migration_delta\": %zu, "
-        "\"streams_carried\": %zu, \"migration_verified\": %s, "
-        "\"converged\": %s}%s\n",
-        row.nodes, row.rooms, row.rounds, row.routed, row.worst_t2c_ms,
-        row.wire_bytes, row.max_node_rooms, row.min_node_rooms,
-        row.migration_ms, row.migration_delta, row.streams_carried,
-        row.migration_verified ? "true" : "false",
-        row.converged ? "true" : "false", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const FedRow& row) {
+  return bench::Format(
+      "{\"nodes\": %zu, \"rooms\": %zu, \"rounds\": %d, "
+      "\"routed\": %zu, \"worst_t2c_ms\": %.2f, \"wire_bytes\": %zu, "
+      "\"max_node_rooms\": %zu, \"min_node_rooms\": %zu, "
+      "\"migration_ms\": %.2f, \"migration_delta\": %zu, "
+      "\"streams_carried\": %zu, \"migration_verified\": %s, "
+      "\"converged\": %s}",
+      row.nodes, row.rooms, row.rounds, row.routed, row.worst_t2c_ms,
+      row.wire_bytes, row.max_node_rooms, row.min_node_rooms, row.migration_ms,
+      row.migration_delta, row.streams_carried,
+      row.migration_verified ? "true" : "false",
+      row.converged ? "true" : "false");
 }
 
 void BM_FederatedChoiceRound(benchmark::State& state) {
@@ -309,57 +293,14 @@ BENCHMARK(BM_RoomMigration);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_federation.json";
-  std::string metrics_path;
-  std::string trace_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(nullptr);
-  bench::ObsSinks sinks;
-  if (!metrics_path.empty()) sinks.metrics = &registry;
-  if (!trace_path.empty()) sinks.tracer = &tracer;
-
-  std::vector<FedRow> rows = RunScaleSweep(smoke, sinks);
-  bool wrote = WriteJson(json_path, rows, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, tracer.ToJson()) && wrote;
-  }
+  bench::Harness harness("federation", /*traced=*/true);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<FedRow> rows = RunScaleSweep(harness.smoke(), harness.sinks());
   bool healthy = true;
   for (const FedRow& row : rows) {
     healthy = healthy && row.converged && row.migration_verified;
   }
-  if (smoke) {
-    // ctest perf smoke: fail when a room never converges, a migration
-    // fails verification, or the JSON cannot be produced.
-    return healthy && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return healthy && wrote ? 0 : 1;
+  return harness.Finish(
+      healthy,
+      bench::MakeReport("federation_scale_sweep", "sweep", rows, JsonRow));
 }

@@ -16,15 +16,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/rng.h"
 #include "doc/builder.h"
+#include "harness.h"
 #include "net/network.h"
 #include "prefetch/cache.h"
 #include "prefetch/predictor.h"
@@ -149,13 +147,6 @@ void PrintAblation() {
 
 // --- Incremental-ranking ablation -----------------------------------
 
-double NowUs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-             .count() /
-         1000.0;
-}
-
 /// Rotates a domain-name ranking by `shift` — a cheap way to make a
 /// component's preference genuinely conditional on a parent value.
 std::vector<std::string> RotatedRanking(
@@ -276,16 +267,12 @@ ScenarioResult RunScenario(const std::string& name,
   result.candidates = fast.size();
   result.identical = SameRanking(fast, baseline);
 
-  double t0 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
     benchmark::DoNotOptimize(predictor.RankCandidatesBaseline(config));
-  }
-  result.baseline_us = (NowUs() - t0) / reps;
-  double t1 = NowUs();
-  for (int rep = 0; rep < reps; ++rep) {
+  });
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
     benchmark::DoNotOptimize(predictor.RankCandidates(config));
-  }
-  result.fast_us = (NowUs() - t1) / reps;
+  });
   return result;
 }
 
@@ -318,30 +305,14 @@ std::vector<ScenarioResult> RunRankingAblation(
   return results;
 }
 
-bool WriteJson(const std::string& path,
-               const std::vector<ScenarioResult>& results, bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"prefetch_ranking\",\n"
-               "  \"smoke\": %s,\n  \"scenarios\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& result = results[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"components\": %zu, \"candidates\": %zu, "
-        "\"baseline_us\": %.3f, \"fast_us\": %.3f, \"speedup\": %.2f, "
-        "\"identical\": %s}%s\n",
-        result.name.c_str(), result.components, result.candidates,
-        result.baseline_us, result.fast_us, result.Speedup(),
-        result.identical ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const ScenarioResult& result) {
+  return bench::Format(
+      "{\"name\": \"%s\", \"components\": %zu, \"candidates\": %zu, "
+      "\"baseline_us\": %.3f, \"fast_us\": %.3f, \"speedup\": %.2f, "
+      "\"identical\": %s}",
+      result.name.c_str(), result.components, result.candidates,
+      result.baseline_us, result.fast_us, result.Speedup(),
+      result.identical ? "true" : "false");
 }
 
 void BM_RankCandidates(benchmark::State& state) {
@@ -391,49 +362,16 @@ BENCHMARK(BM_CacheLookupInsert);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_prefetch.json";
-  std::string metrics_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* metrics =
-      metrics_path.empty() ? nullptr : &registry;
-
-  std::vector<ScenarioResult> results = RunRankingAblation(smoke, metrics);
-  bool wrote = WriteJson(json_path, results, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
+  bench::Harness harness("prefetch", /*traced=*/false);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<ScenarioResult> results =
+      RunRankingAblation(harness.smoke(), harness.metrics());
   bool identical = true;
   for (const ScenarioResult& result : results) {
     identical = identical && result.identical;
   }
-  if (smoke) {
-    // ctest perf smoke: fail when the implementations disagree or the
-    // JSON cannot be produced; timing itself is not asserted.
-    return identical && wrote ? 0 : 1;
-  }
-  PrintAblation();
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return identical && wrote ? 0 : 1;
+  return harness.Finish(
+      identical,
+      bench::MakeReport("prefetch_ranking", "scenarios", results, JsonRow),
+      PrintAblation);
 }

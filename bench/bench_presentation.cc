@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "doc/builder.h"
 #include "doc/document.h"
 #include "doc/tuning.h"
+#include "harness.h"
 
 namespace {
 
@@ -24,6 +24,7 @@ using mmconf::cpnet::Assignment;
 using mmconf::doc::MakeRandomDocument;
 using mmconf::doc::MultimediaDocument;
 using mmconf::doc::ViewerChoice;
+namespace bench = mmconf::bench;
 
 std::vector<ViewerChoice> RandomChoices(const MultimediaDocument& document,
                                         int count, Rng& rng) {
@@ -47,23 +48,13 @@ void PrintFigure3() {
     MultimediaDocument document =
         MakeRandomDocument(leaves / 4, leaves, rng).value();
     std::vector<ViewerChoice> choices = RandomChoices(document, 3, rng);
-    auto now_us = [] {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count() /
-             1000.0;
-    };
     const int reps = 200;
-    double t0 = now_us();
-    for (int rep = 0; rep < reps; ++rep) {
+    double default_us = bench::MeanWallMicros(reps, [&] {
       benchmark::DoNotOptimize(document.DefaultPresentation());
-    }
-    double default_us = (now_us() - t0) / reps;
-    double t1 = now_us();
-    for (int rep = 0; rep < reps; ++rep) {
+    });
+    double reconfig_us = bench::MeanWallMicros(reps, [&] {
       benchmark::DoNotOptimize(document.ReconfigPresentation(choices));
-    }
-    double reconfig_us = (now_us() - t1) / reps;
+    });
     std::printf("%-10d %-12zu %-18.2f %-18.2f\n", leaves,
                 document.num_variables(), default_us, reconfig_us);
   }

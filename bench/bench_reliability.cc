@@ -16,13 +16,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "doc/builder.h"
+#include "harness.h"
 #include "net/network.h"
 #include "net/reliable.h"
 #include "server/interaction_server.h"
@@ -157,31 +156,15 @@ std::vector<LossRow> RunLossSweep(bool smoke,
   return rows;
 }
 
-bool WriteJson(const std::string& path, const std::vector<LossRow>& rows,
-               bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"reliability_loss_sweep\",\n"
-               "  \"smoke\": %s,\n  \"sweep\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const LossRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"loss\": %.2f, \"worst_t2c_ms\": %.2f, \"retries\": %zu, "
-        "\"duplicates_suppressed\": %zu, \"wire_dropped\": %zu, "
-        "\"wire_bytes\": %zu, \"app_bytes\": %zu, \"overhead\": %.3f, "
-        "\"converged\": %s}%s\n",
-        row.loss, row.worst_t2c_ms, row.retries, row.duplicates_suppressed,
-        row.wire_dropped, row.wire_bytes, row.app_bytes, row.Overhead(),
-        row.converged ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const LossRow& row) {
+  return bench::Format(
+      "{\"loss\": %.2f, \"worst_t2c_ms\": %.2f, \"retries\": %zu, "
+      "\"duplicates_suppressed\": %zu, \"wire_dropped\": %zu, "
+      "\"wire_bytes\": %zu, \"app_bytes\": %zu, \"overhead\": %.3f, "
+      "\"converged\": %s}",
+      row.loss, row.worst_t2c_ms, row.retries, row.duplicates_suppressed,
+      row.wire_dropped, row.wire_bytes, row.app_bytes, row.Overhead(),
+      row.converged ? "true" : "false");
 }
 
 void BM_PropagateUnderLoss(benchmark::State& state) {
@@ -228,55 +211,12 @@ BENCHMARK(BM_ReliableEcho)->Arg(0)->Arg(20);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_reliability.json";
-  std::string metrics_path;
-  std::string trace_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(nullptr);
-  bench::ObsSinks sinks;
-  if (!metrics_path.empty()) sinks.metrics = &registry;
-  if (!trace_path.empty()) sinks.tracer = &tracer;
-
-  std::vector<LossRow> rows = RunLossSweep(smoke, sinks);
-  bool wrote = WriteJson(json_path, rows, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, tracer.ToJson()) && wrote;
-  }
+  bench::Harness harness("reliability", /*traced=*/true);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<LossRow> rows = RunLossSweep(harness.smoke(), harness.sinks());
   bool converged = true;
   for (const LossRow& row : rows) converged = converged && row.converged;
-  if (smoke) {
-    // ctest perf smoke: fail when a lossy room never converges or the
-    // JSON cannot be produced; timing itself is not asserted.
-    return converged && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return converged && wrote ? 0 : 1;
+  return harness.Finish(
+      converged,
+      bench::MakeReport("reliability_loss_sweep", "sweep", rows, JsonRow));
 }

@@ -24,13 +24,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "harness.h"
 #include "net/network.h"
 #include "net/reliable.h"
 #include "storage/database.h"
@@ -277,36 +276,20 @@ std::vector<ReplRow> RunSweep(bool smoke, const bench::ObsSinks& sinks) {
   return rows;
 }
 
-bool WriteJson(const std::string& path, const std::vector<ReplRow>& rows,
-               bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"replication_failover\",\n"
-               "  \"smoke\": %s,\n  \"sweep\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ReplRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"shards\": %zu, \"drop\": %.2f, \"mutations\": %zu, "
-        "\"batches\": %zu, \"batch_bytes\": %zu, \"snapshots\": %zu, "
-        "\"checkpoints\": %zu, \"wire_bytes\": %zu, \"end_ms\": %.1f, "
-        "\"drained_replayed\": %zu, \"drained_exact\": %s, "
-        "\"resync_ms\": %.1f, \"abrupt_rpo_records\": %zu, "
-        "\"abrupt_clean\": %s, \"cache_hits\": %zu, \"cache_misses\": %zu}%s\n",
-        row.shards, row.drop, row.mutations, row.batches, row.batch_bytes,
-        row.snapshots, row.checkpoints, row.wire_bytes,
-        static_cast<double>(row.end_micros) / 1000.0, row.drained_replayed,
-        row.drained_exact ? "true" : "false",
-        static_cast<double>(row.resync_micros) / 1000.0,
-        row.abrupt_rpo_records, row.abrupt_clean ? "true" : "false",
-        row.cache_hits, row.cache_misses, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const ReplRow& row) {
+  return bench::Format(
+      "{\"shards\": %zu, \"drop\": %.2f, \"mutations\": %zu, "
+      "\"batches\": %zu, \"batch_bytes\": %zu, \"snapshots\": %zu, "
+      "\"checkpoints\": %zu, \"wire_bytes\": %zu, \"end_ms\": %.1f, "
+      "\"drained_replayed\": %zu, \"drained_exact\": %s, "
+      "\"resync_ms\": %.1f, \"abrupt_rpo_records\": %zu, "
+      "\"abrupt_clean\": %s, \"cache_hits\": %zu, \"cache_misses\": %zu}",
+      row.shards, row.drop, row.mutations, row.batches, row.batch_bytes,
+      row.snapshots, row.checkpoints, row.wire_bytes,
+      static_cast<double>(row.end_micros) / 1000.0, row.drained_replayed,
+      row.drained_exact ? "true" : "false",
+      static_cast<double>(row.resync_micros) / 1000.0, row.abrupt_rpo_records,
+      row.abrupt_clean ? "true" : "false", row.cache_hits, row.cache_misses);
 }
 
 void BM_ShipRound(benchmark::State& state) {
@@ -362,56 +345,12 @@ BENCHMARK(BM_CacheFetchHit);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_replication.json";
-  std::string metrics_path;
-  std::string trace_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(nullptr);
-  bench::ObsSinks sinks;
-  if (!metrics_path.empty()) sinks.metrics = &registry;
-  if (!trace_path.empty()) sinks.tracer = &tracer;
-
-  std::vector<ReplRow> rows = RunSweep(smoke, sinks);
-  bool wrote = WriteJson(json_path, rows, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, tracer.ToJson()) && wrote;
-  }
+  bench::Harness harness("replication", /*traced=*/true);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<ReplRow> rows = RunSweep(harness.smoke(), harness.sinks());
   bool invariants = true;
   for (const ReplRow& row : rows) invariants = invariants && row.Ok();
-  if (smoke) {
-    // ctest perf smoke: fail when a drained failover loses acked writes,
-    // an abrupt promotion diverges, or the JSON cannot be produced;
-    // timing itself is not asserted.
-    return invariants && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return invariants && wrote ? 0 : 1;
+  return harness.Finish(
+      invariants,
+      bench::MakeReport("replication_failover", "sweep", rows, JsonRow));
 }

@@ -15,15 +15,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "harness.h"
 #include "storage/database.h"
 #include "storage/sharded_db.h"
 #include "storage/wal.h"
@@ -49,32 +47,23 @@ void PrintFigure7() {
     db.RegisterStandardTypes().ok();
     Rng rng(kb);
     Bytes payload = RandomBytes(kb * 1024, rng);
-    auto now_us = [] {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count() /
-             1000.0;
-    };
     const int reps = kb >= 4096 ? 20 : 100;
-    double t0 = now_us();
     std::vector<ObjectRef> refs;
-    for (int i = 0; i < reps; ++i) {
+    double store_us = bench::MeanWallMicros(reps, [&] {
       refs.push_back(db.Store("Image",
                               {{"FLD_QUALITY", int64_t{90}},
                                {"FLD_TEXTS", std::string("t")},
                                {"FLD_CM", std::string("c")}},
                               {{"FLD_DATA", payload}})
                          .value());
-    }
-    double store_s = (now_us() - t0) * 1e-6;
-    double t1 = now_us();
-    for (const ObjectRef& ref : refs) {
-      benchmark::DoNotOptimize(db.FetchBlob(ref, "FLD_DATA"));
-    }
-    double fetch_s = (now_us() - t1) * 1e-6;
-    double mb = static_cast<double>(payload.size()) * reps / (1 << 20);
-    std::printf("%-12zu %-14.1f %-14.1f\n", kb, mb / store_s,
-                mb / fetch_s);
+    });
+    size_t next = 0;
+    double fetch_us = bench::MeanWallMicros(reps, [&] {
+      benchmark::DoNotOptimize(db.FetchBlob(refs[next++], "FLD_DATA"));
+    });
+    double mb = static_cast<double>(payload.size()) / (1 << 20);
+    std::printf("%-12zu %-14.1f %-14.1f\n", kb, mb / (store_us * 1e-6),
+                mb / (fetch_us * 1e-6));
   }
   std::printf("\n");
 }
@@ -315,34 +304,17 @@ std::vector<DurabilityRow> RunDurabilitySweep(bool smoke,
   return rows;
 }
 
-bool WriteJson(const std::string& path,
-               const std::vector<DurabilityRow>& rows, bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"storage_durability_sweep\",\n"
-               "  \"smoke\": %s,\n  \"sweep\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const DurabilityRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"shards\": %zu, \"mix\": \"%s\", \"mutations\": %zu, "
-        "\"stores\": %zu, \"modifies\": %zu, \"deletes\": %zu, "
-        "\"objects\": %zu, \"wal_records\": %zu, \"wal_bytes\": %zu, "
-        "\"syncs\": %zu, \"replayed_records\": %zu, "
-        "\"replay_matches\": %s, \"crash_recovered\": %s}%s\n",
-        row.shards, row.mix.c_str(), row.mutations, row.stores,
-        row.modifies, row.deletes, row.objects, row.wal_records,
-        row.wal_bytes, row.syncs, row.replayed_records,
-        row.replay_matches ? "true" : "false",
-        row.crash_recovered ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const DurabilityRow& row) {
+  return bench::Format(
+      "{\"shards\": %zu, \"mix\": \"%s\", \"mutations\": %zu, "
+      "\"stores\": %zu, \"modifies\": %zu, \"deletes\": %zu, "
+      "\"objects\": %zu, \"wal_records\": %zu, \"wal_bytes\": %zu, "
+      "\"syncs\": %zu, \"replayed_records\": %zu, "
+      "\"replay_matches\": %s, \"crash_recovered\": %s}",
+      row.shards, row.mix.c_str(), row.mutations, row.stores, row.modifies,
+      row.deletes, row.objects, row.wal_records, row.wal_bytes, row.syncs,
+      row.replayed_records, row.replay_matches ? "true" : "false",
+      row.crash_recovered ? "true" : "false");
 }
 
 void BM_ShardedStore(benchmark::State& state) {
@@ -395,57 +367,14 @@ BENCHMARK(BM_WalReplay);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_storage.json";
-  std::string metrics_path;
-  std::string trace_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(nullptr);
-  bench::ObsSinks sinks;
-  if (!metrics_path.empty()) sinks.metrics = &registry;
-  if (!trace_path.empty()) sinks.tracer = &tracer;
-
-  if (!smoke) PrintFigure7();
-  std::vector<DurabilityRow> rows = RunDurabilitySweep(smoke, sinks);
-  bool wrote = WriteJson(json_path, rows, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, tracer.ToJson()) && wrote;
-  }
+  bench::Harness harness("storage", /*traced=*/true);
+  if (!harness.Start(argc, argv)) return 1;
+  if (!harness.smoke()) PrintFigure7();
+  std::vector<DurabilityRow> rows =
+      RunDurabilitySweep(harness.smoke(), harness.sinks());
   bool durable = true;
   for (const DurabilityRow& row : rows) durable = durable && row.Ok();
-  if (smoke) {
-    // ctest perf smoke: fail when WAL replay diverges from the live
-    // shard, crash recovery breaks, or the JSON cannot be produced;
-    // timing itself is not asserted.
-    return durable && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return durable && wrote ? 0 : 1;
+  return harness.Finish(
+      durable,
+      bench::MakeReport("storage_durability_sweep", "sweep", rows, JsonRow));
 }

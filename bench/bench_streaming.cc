@@ -21,14 +21,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_obs.h"
 #include "common/rng.h"
 #include "compress/layered_codec.h"
 #include "doc/builder.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "net/network.h"
 #include "net/reliable.h"
@@ -198,34 +197,18 @@ bool CheckInvariants(const std::vector<SweepRow>& rows) {
   return ok;
 }
 
-bool WriteJson(const std::string& path, const std::vector<SweepRow>& rows,
-               bool smoke) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"streaming_bandwidth_sweep\",\n"
-               "  \"smoke\": %s,\n  \"sweep\": [\n",
-               smoke ? "true" : "false");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"bandwidth_bytes_per_sec\": %.0f, \"objects\": %zu, "
-        "\"objects_played\": %zu, \"stalls\": %zu, \"stall_rate\": %.4f, "
-        "\"mean_stall_ms\": %.2f, \"mean_layers\": %.3f, "
-        "\"min_layers\": %d, \"layers_dropped\": %zu, "
-        "\"bytes_sent\": %zu, \"full_bytes\": %zu, \"finished\": %s, "
-        "\"aborted\": %s}%s\n",
-        row.bandwidth_bytes_per_sec, row.objects, row.objects_played,
-        row.stalls, row.stall_rate, row.mean_stall_ms, row.mean_layers,
-        row.min_layers, row.layers_dropped, row.bytes_sent, row.full_bytes,
-        row.finished ? "true" : "false", row.aborted ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  return bench::CloseChecked(out, path);
+std::string JsonRow(const SweepRow& row) {
+  return bench::Format(
+      "{\"bandwidth_bytes_per_sec\": %.0f, \"objects\": %zu, "
+      "\"objects_played\": %zu, \"stalls\": %zu, \"stall_rate\": %.4f, "
+      "\"mean_stall_ms\": %.2f, \"mean_layers\": %.3f, "
+      "\"min_layers\": %d, \"layers_dropped\": %zu, "
+      "\"bytes_sent\": %zu, \"full_bytes\": %zu, \"finished\": %s, "
+      "\"aborted\": %s}",
+      row.bandwidth_bytes_per_sec, row.objects, row.objects_played, row.stalls,
+      row.stall_rate, row.mean_stall_ms, row.mean_layers, row.min_layers,
+      row.layers_dropped, row.bytes_sent, row.full_bytes,
+      row.finished ? "true" : "false", row.aborted ? "true" : "false");
 }
 
 void BM_ChunkerPlan(benchmark::State& state) {
@@ -251,54 +234,11 @@ BENCHMARK(BM_StreamToPlayout)->Arg(16000)->Arg(256000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_streaming.json";
-  std::string metrics_path;
-  std::string trace_path;
-  // Strip our flags before google-benchmark sees (and rejects) them.
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--json_out=", 11) == 0) {
-      json_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--metrics_out=", 14) == 0) {
-      metrics_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--trace_out=", 12) == 0) {
-      trace_path = argv[i] + 12;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  // An unwritable output path should fail before the sweep, not after.
-  if (!bench::ProbeWritable(json_path)) return 1;
-  if (!metrics_path.empty() && !bench::ProbeWritable(metrics_path)) return 1;
-  if (!trace_path.empty() && !bench::ProbeWritable(trace_path)) return 1;
-
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(nullptr);
-  bench::ObsSinks sinks;
-  if (!metrics_path.empty()) sinks.metrics = &registry;
-  if (!trace_path.empty()) sinks.tracer = &tracer;
-
-  std::vector<SweepRow> rows = RunSweep(smoke, sinks);
-  bool ok = CheckInvariants(rows);
-  bool wrote = WriteJson(json_path, rows, smoke);
-  if (!metrics_path.empty()) {
-    wrote = bench::WriteFileChecked(metrics_path,
-                                    registry.Snapshot().ToJson()) &&
-            wrote;
-  }
-  if (!trace_path.empty()) {
-    wrote = bench::WriteFileChecked(trace_path, tracer.ToJson()) && wrote;
-  }
-  if (smoke) {
-    // ctest perf smoke: fail on a broken streaming invariant or an
-    // unwritable report; timing itself is not asserted.
-    return ok && wrote ? 0 : 1;
-  }
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  benchmark::RunSpecifiedBenchmarks();
-  return ok && wrote ? 0 : 1;
+  bench::Harness harness("streaming", /*traced=*/true);
+  if (!harness.Start(argc, argv)) return 1;
+  std::vector<SweepRow> rows = RunSweep(harness.smoke(), harness.sinks());
+  return harness.Finish(
+      CheckInvariants(rows),
+      bench::MakeReport("streaming_bandwidth_sweep", "sweep", rows,
+                        JsonRow));
 }

@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -15,6 +14,7 @@
 #include "cpnet/update.h"
 #include "doc/builder.h"
 #include "doc/component.h"
+#include "harness.h"
 
 namespace {
 
@@ -22,13 +22,6 @@ using namespace mmconf;
 using cpnet::CpNet;
 using cpnet::CpNetEditor;
 using cpnet::ViewerOverlay;
-
-double NowUs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-             .count() /
-         1000.0;
-}
 
 void PrintAblation() {
   std::printf("== A3: operation-variable update vs full rebuild ==\n");
@@ -40,34 +33,30 @@ void PrintAblation() {
 
     const int reps = 50;
     // Global operation variable (includes revalidation of the whole net).
-    double t0 = NowUs();
     CpNet scratch = net;
-    for (int i = 0; i < reps; ++i) {
+    int op = 0;
+    double op_us = bench::MeanWallMicros(reps, [&] {
       CpNetEditor::AddOperationVariable(scratch, 0, 0,
-                                        "op" + std::to_string(i), "a", "p")
+                                        "op" + std::to_string(op++), "a", "p")
           .value();
-    }
-    double op_us = (NowUs() - t0) / reps;
+    });
 
     // Per-viewer overlay extension (no global revalidation at all).
     ViewerOverlay overlay(&net);
-    double t1 = NowUs();
-    for (int i = 0; i < reps; ++i) {
+    op = 0;
+    double overlay_us = bench::MeanWallMicros(reps, [&] {
       overlay
-          .AddOperationVariable(0, 0, "op" + std::to_string(i), "a", "p")
+          .AddOperationVariable(0, 0, "op" + std::to_string(op++), "a", "p")
           .value();
-    }
-    double overlay_us = (NowUs() - t1) / reps;
+    });
 
     // Full rebuild: copy the structure into a fresh net and revalidate —
     // what a system without Section 4.2's incremental update would do.
-    double t2 = NowUs();
-    for (int i = 0; i < 5; ++i) {
+    double rebuild_us = bench::MeanWallMicros(5, [&] {
       Rng rebuild_rng(static_cast<uint64_t>(n));
       CpNet rebuilt = doc::MakeRandomCpNet(n, 2, 3, rebuild_rng);
       benchmark::DoNotOptimize(rebuilt);
-    }
-    double rebuild_us = (NowUs() - t2) / 5;
+    });
 
     std::printf("%-8d %-22.1f %-22.2f %-22.1f\n", n, op_us, overlay_us,
                 rebuild_us);
@@ -77,13 +66,10 @@ void PrintAblation() {
   for (int n : {16, 64, 256}) {
     Rng rng(static_cast<uint64_t>(n) + 7);
     CpNet net = doc::MakeRandomCpNet(n, 2, 2, rng);
-    double t0 = NowUs();
-    const int reps = 20;
-    for (int i = 0; i < reps; ++i) {
-      benchmark::DoNotOptimize(
-          CpNetEditor::RemoveComponent(net, n / 2, 0));
-    }
-    std::printf("%-8d %-18.1f\n", n, (NowUs() - t0) / reps);
+    double remove_us = bench::MeanWallMicros(20, [&] {
+      benchmark::DoNotOptimize(CpNetEditor::RemoveComponent(net, n / 2, 0));
+    });
+    std::printf("%-8d %-18.1f\n", n, remove_us);
   }
   std::printf("\n");
 }
