@@ -12,6 +12,7 @@
 
 #include "client/client.h"
 #include "doc/builder.h"
+#include "harness.h"
 #include "net/network.h"
 #include "server/interaction_server.h"
 #include "storage/database.h"
@@ -108,8 +109,5 @@ BENCHMARK(BM_RenderView);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintFigure1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintFigure1);
 }

@@ -12,11 +12,10 @@
 // distribution scheme pays. The no-base-drop invariant is asserted on
 // the sampled viewers' real scheduler streams.
 //
-// Results are printed and written as machine-readable JSON
-// (BENCH_broadcast.json; override with --json_out=PATH). --smoke runs
-// a shrunk sweep and exits nonzero when a stream aborts (base-layer
-// loss), a session fails to drain, the tree fails to undercut unicast,
-// or the JSON cannot be written.
+// Results are printed and written as machine-readable JSON (to
+// --json_out=PATH). --smoke runs a shrunk sweep and exits nonzero when a
+// stream aborts (base-layer loss), a session fails to drain, the tree
+// fails to undercut unicast, or the JSON cannot be written.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot (fanout.*
 // and mix.* counters included) and --trace_out=PATH a Chrome
@@ -278,7 +277,7 @@ BENCHMARK(BM_PushFrameThroughTree)->Arg(1000)->Arg(10000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("broadcast", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<FanoutRow> rows =
       RunAudienceSweep(harness.smoke(), harness.sinks());

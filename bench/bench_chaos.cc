@@ -7,12 +7,12 @@
 // crash, Serialize()-level room convergence, and bounded stall /
 // tail-latency budgets.
 //
-// Results are printed and written as machine-readable JSON
-// (BENCH_chaos.json; override with --json_out=PATH). --smoke runs the
-// scenario-mix x seed matrix and exits nonzero when any invariant
-// breaks. A failing cell prints the exact command line that replays it
-// locally; --scenario=NAME --seed=N runs that one cell. --seed_base=B
-// and --seeds=N widen the seed range (the nightly CI leg's sweep).
+// Results are printed and written as machine-readable JSON (to
+// --json_out=PATH). --smoke runs the scenario-mix x seed matrix and exits
+// nonzero when any invariant breaks. A failing cell prints the exact
+// command line that replays it locally; --scenario=NAME --seed=N runs
+// that one cell. --seed_base=B and --seeds=N widen the seed range (the
+// nightly CI leg's sweep).
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot of the
 // first failing cell (or the last cell when all held) and
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   std::optional<uint64_t> only_seed;
   uint64_t seed_base = 1;
   uint64_t num_seeds = 3;
-  bench::Harness harness("chaos", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   harness.Switch("node_loss", &g_node_loss);
   harness.Value("scenario", [&mixes](const std::string& name) {
     Result<workload::ScenarioMix> mix = workload::ScenarioMixFromString(name);

@@ -6,13 +6,12 @@
 // argues for.
 //
 // Plus the kernel ablation: the allocation-free flat DWT kernels against
-// a textbook formulation (runtime filter vectors, per-call scratch,
-// modulo indexing) carried here as the "before", and the dispatched
+// the textbook formulation in tests/oracles (runtime filter vectors,
+// per-call scratch, modulo indexing) as the "before", and the dispatched
 // CRC32C engine against the portable table engine — with bit-identity /
-// engine-agreement checks. Results are printed and written as JSON
-// (BENCH_compression.json; override with --json_out=PATH). --smoke
-// shrinks the inputs for a ctest-able perf smoke run and skips the
-// figures and google-benchmark sweeps.
+// engine-agreement checks. Results are printed and written as JSON (to
+// --json_out=PATH). --smoke shrinks the inputs for a ctest-able perf
+// smoke run and skips the figures and google-benchmark sweeps.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot (the
 // compress.kernel.* work counters accumulated by the check pass;
@@ -32,6 +31,7 @@
 #include "harness.h"
 #include "media/synthetic.h"
 #include "obs/metrics.h"
+#include "oracles/oracles.h"
 
 namespace {
 
@@ -220,99 +220,6 @@ BENCHMARK(BM_DecodeThumbnail)->Arg(1)->Arg(3);
 
 // --- Kernel ablation ------------------------------------------------
 
-struct TapSet {
-  std::vector<double> low, high;
-};
-
-/// Filters recomputed from their defining sqrt expressions each call —
-/// the textbook formulation the flat kernels replaced.
-TapSet MakeTaps(compress::WaveletBasis basis) {
-  if (basis == compress::WaveletBasis::kHaar) {
-    const double s = 1.0 / std::sqrt(2.0);
-    return {{s, s}, {s, -s}};
-  }
-  const double s3 = std::sqrt(3.0);
-  const double norm = 4.0 * std::sqrt(2.0);
-  TapSet taps;
-  taps.low = {(1 + s3) / norm, (3 + s3) / norm, (3 - s3) / norm,
-              (1 - s3) / norm};
-  taps.high.resize(4);
-  for (size_t k = 0; k < 4; ++k) {
-    taps.high[k] = (k % 2 == 0 ? 1.0 : -1.0) * taps.low[3 - k];
-  }
-  return taps;
-}
-
-/// Textbook 1D step: circular `% n` indexing, per-call output vector.
-void TextbookLine(std::vector<double>& line, const TapSet& taps,
-                  bool forward) {
-  const size_t n = line.size();
-  const size_t half = n / 2;
-  if (forward) {
-    std::vector<double> out(n);
-    for (size_t k = 0; k < half; ++k) {
-      double a = 0, d = 0;
-      for (size_t m = 0; m < taps.low.size(); ++m) {
-        double x = line[(2 * k + m) % n];
-        a += taps.low[m] * x;
-        d += taps.high[m] * x;
-      }
-      out[k] = a;
-      out[half + k] = d;
-    }
-    line = out;
-  } else {
-    std::vector<double> out(n, 0.0);
-    for (size_t k = 0; k < half; ++k) {
-      for (size_t m = 0; m < taps.low.size(); ++m) {
-        out[(2 * k + m) % n] +=
-            taps.low[m] * line[k] + taps.high[m] * line[half + k];
-      }
-    }
-    line = out;
-  }
-}
-
-/// Textbook pyramid: per level, rows through TextbookLine, then columns
-/// gathered/scattered one at a time — the "before" of Transform2DRegion.
-void TextbookDwt2D(compress::Plane& plane, int levels, bool forward,
-                   compress::WaveletBasis basis) {
-  std::vector<int> order(static_cast<size_t>(levels));
-  for (int i = 0; i < levels; ++i) order[static_cast<size_t>(i)] = i;
-  if (!forward) {
-    for (int i = 0; i < levels; ++i) {
-      order[static_cast<size_t>(i)] = levels - 1 - i;
-    }
-  }
-  for (int level : order) {
-    TapSet taps = MakeTaps(basis);  // recomputed per level, as before
-    const int w = plane.width >> level;
-    const int h = plane.height >> level;
-    // Rows then gathered columns, both directions — the pass order the
-    // region kernel uses, so outputs stay comparable bit for bit.
-    std::vector<double> line(static_cast<size_t>(w));
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        line[static_cast<size_t>(x)] = plane.at(x, y);
-      }
-      TextbookLine(line, taps, forward);
-      for (int x = 0; x < w; ++x) {
-        plane.at(x, y) = line[static_cast<size_t>(x)];
-      }
-    }
-    line.resize(static_cast<size_t>(h));
-    for (int x = 0; x < w; ++x) {
-      for (int y = 0; y < h; ++y) {
-        line[static_cast<size_t>(y)] = plane.at(x, y);
-      }
-      TextbookLine(line, taps, forward);
-      for (int y = 0; y < h; ++y) {
-        plane.at(x, y) = line[static_cast<size_t>(y)];
-      }
-    }
-  }
-}
-
 struct ScenarioResult {
   std::string name;
   size_t bytes = 0;        ///< workload size (plane/buffer/encoded bytes)
@@ -341,16 +248,16 @@ ScenarioResult RunDwtScenario(compress::WaveletBasis basis, int size,
   compress::Plane fast = input;
   compress::Dwt2D(fast, levels, basis).ok();
   compress::Plane reference = input;
-  TextbookDwt2D(reference, levels, /*forward=*/true, basis);
+  oracles::TextbookDwt2D(reference, levels, /*forward=*/true, basis);
   result.ok = fast.data == reference.data;
   compress::Idwt2D(fast, levels, basis).ok();
-  TextbookDwt2D(reference, levels, /*forward=*/false, basis);
+  oracles::TextbookDwt2D(reference, levels, /*forward=*/false, basis);
   result.ok = result.ok && fast.data == reference.data;
 
   result.baseline_us = bench::MeanWallMicros(reps, [&] {
     compress::Plane plane = input;
-    TextbookDwt2D(plane, levels, true, basis);
-    TextbookDwt2D(plane, levels, false, basis);
+    oracles::TextbookDwt2D(plane, levels, true, basis);
+    oracles::TextbookDwt2D(plane, levels, false, basis);
     benchmark::DoNotOptimize(plane.data.data());
   });
   result.fast_us = bench::MeanWallMicros(reps, [&] {
@@ -480,7 +387,7 @@ std::string JsonRow(const ScenarioResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("compression", /*traced=*/false);
+  bench::Harness harness(/*traced=*/false);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<ScenarioResult> results =
       RunKernelAblation(harness.smoke(), harness.metrics());

@@ -8,9 +8,9 @@
 // flat arena (watched cone sweep) against a full OptimalCompletion per
 // pin, over chain / fan-out / random net shapes, with byte-identity and
 // brute-force oracle checks. Results are printed and written as
-// machine-readable JSON (BENCH_cpnet.json; override with
-// --json_out=PATH). --smoke shrinks the scenarios for a ctest-able perf
-// smoke run and skips the slower figures and google-benchmark sweeps.
+// machine-readable JSON (to --json_out=PATH). --smoke shrinks the
+// scenarios for a ctest-able perf smoke run and skips the slower figures
+// and google-benchmark sweeps.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot (the
 // cpnet.sweep.* / cpnet.recomplete.* work counters accumulated by the
@@ -23,11 +23,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cpnet/brute_force.h"
 #include "cpnet/cpnet.h"
 #include "doc/builder.h"
 #include "harness.h"
 #include "obs/metrics.h"
+#include "oracles/oracles.h"
 
 namespace {
 
@@ -36,11 +36,11 @@ namespace obs = mmconf::obs;
 
 using mmconf::Rng;
 using mmconf::cpnet::Assignment;
-using mmconf::cpnet::BruteForceOptimalCompletion;
-using mmconf::cpnet::BruteForceRecompleteFrom;
 using mmconf::cpnet::CpNet;
 using mmconf::cpnet::ValueId;
 using mmconf::cpnet::VarId;
+using mmconf::oracles::BruteForceOptimalCompletion;
+using mmconf::oracles::BruteForceRecompleteFrom;
 
 void PrintFigure2() {
   CpNet net = mmconf::doc::MakePaperFigure2Net();
@@ -357,7 +357,7 @@ BENCHMARK(BM_ImprovingFlips)->Arg(32)->Arg(256);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("cpnet", /*traced=*/false);
+  bench::Harness harness(/*traced=*/false);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<ScenarioResult> results =
       RunRecompleteAblation(harness.smoke(), harness.metrics());

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "doc/builder.h"
 #include "doc/document.h"
+#include "harness.h"
 
 namespace {
 
@@ -96,8 +97,5 @@ BENCHMARK(BM_AddOperationVariable);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintFigure6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintFigure6);
 }

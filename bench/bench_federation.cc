@@ -4,10 +4,10 @@
 // end to end — snapshot transfer, log replay, verified cutover, stream
 // carryover — all in deterministic virtual time.
 //
-// Results are printed and written as machine-readable JSON
-// (BENCH_federation.json; override with --json_out=PATH). --smoke runs
-// a shrunk sweep and exits nonzero when a room fails to converge, a
-// migration fails verification, or the JSON cannot be written.
+// Results are printed and written as machine-readable JSON (to
+// --json_out=PATH). --smoke runs a shrunk sweep and exits nonzero when a
+// room fails to converge, a migration fails verification, or the JSON
+// cannot be written.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot (per-node
 // fed.node.<i>.* gauges and tail-latency histograms included) and
@@ -293,7 +293,7 @@ BENCHMARK(BM_RoomMigration);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("federation", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<FedRow> rows = RunScaleSweep(harness.smoke(), harness.sinks());
   bool healthy = true;

@@ -4,12 +4,12 @@
 // buffer size, against a preference-correlated stream of viewer choices.
 //
 // Plus the incremental-ranking ablation: RankCandidates (descendant-cone
-// re-sweeps + dense accumulators) against RankCandidatesBaseline (full
-// sweeps + string-keyed maps) over wide, deep-chain, and high-fan-out
-// documents, with an output-equality sanity check. Results are printed
-// and written as machine-readable JSON (BENCH_prefetch.json; override
-// with --json_out=PATH). --smoke shrinks the scenarios for a ctest-able
-// perf smoke run and skips the slower ablations.
+// re-sweeps + dense accumulators) against the baseline ranker in
+// tests/oracles (full sweeps + string-keyed maps) over wide, deep-chain,
+// and high-fan-out documents, with an output-equality sanity check.
+// Results are printed and written as machine-readable JSON (to
+// --json_out=PATH). --smoke shrinks the scenarios for a ctest-able perf
+// smoke run and skips the slower ablations.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot
 // (prefetch.rank.* work counters; byte-identical across runs).
@@ -24,6 +24,7 @@
 #include "doc/builder.h"
 #include "harness.h"
 #include "net/network.h"
+#include "oracles/oracles.h"
 #include "prefetch/cache.h"
 #include "prefetch/predictor.h"
 #include "prefetch/session.h"
@@ -261,14 +262,15 @@ ScenarioResult RunScenario(const std::string& name,
   result.components = document.num_components();
 
   std::vector<PrefetchCandidate> baseline =
-      predictor.RankCandidatesBaseline(config).value();
+      oracles::RankCandidatesBaseline(document, config).value();
   std::vector<PrefetchCandidate> fast =
       predictor.RankCandidates(config).value();
   result.candidates = fast.size();
   result.identical = SameRanking(fast, baseline);
 
   result.baseline_us = bench::MeanWallMicros(reps, [&] {
-    benchmark::DoNotOptimize(predictor.RankCandidatesBaseline(config));
+    benchmark::DoNotOptimize(
+        oracles::RankCandidatesBaseline(document, config));
   });
   result.fast_us = bench::MeanWallMicros(reps, [&] {
     benchmark::DoNotOptimize(predictor.RankCandidates(config));
@@ -336,10 +338,10 @@ void BM_RankCandidatesBaseline(benchmark::State& state) {
       doc::MakeRandomDocument(static_cast<int>(state.range(0)) / 4,
                               static_cast<int>(state.range(0)), rng)
           .value();
-  PrefetchPredictor predictor(&document);
   Assignment config = document.DefaultPresentation().value();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.RankCandidatesBaseline(config));
+    benchmark::DoNotOptimize(
+        oracles::RankCandidatesBaseline(document, config));
   }
   state.counters["leaves"] = static_cast<double>(state.range(0));
 }
@@ -362,7 +364,7 @@ BENCHMARK(BM_CacheLookupInsert);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("prefetch", /*traced=*/false);
+  bench::Harness harness(/*traced=*/false);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<ScenarioResult> results =
       RunRankingAblation(harness.smoke(), harness.metrics());

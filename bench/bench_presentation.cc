@@ -120,8 +120,5 @@ BENCHMARK(BM_DeliveryCost);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintFigure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintFigure3);
 }

@@ -4,10 +4,9 @@
 // "immediately propagated to other clients in the room"; this bench
 // quantifies what "immediately" costs once the wire stops cooperating.
 //
-// Results are printed and written as machine-readable JSON
-// (BENCH_reliability.json; override with --json_out=PATH). --smoke runs
-// fewer rounds and exits nonzero when a room fails to converge or the
-// JSON cannot be written.
+// Results are printed and written as machine-readable JSON (to
+// --json_out=PATH). --smoke runs fewer rounds and exits nonzero when a
+// room fails to converge or the JSON cannot be written.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot
 // (byte-identical across runs) and --trace_out=PATH a Chrome
@@ -211,7 +210,7 @@ BENCHMARK(BM_ReliableEcho)->Arg(0)->Arg(20);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("reliability", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<LossRow> rows = RunLossSweep(harness.smoke(), harness.sinks());
   bool converged = true;

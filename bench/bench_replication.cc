@@ -345,7 +345,7 @@ BENCHMARK(BM_CacheFetchHit);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("replication", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<ReplRow> rows = RunSweep(harness.smoke(), harness.sinks());
   bool invariants = true;

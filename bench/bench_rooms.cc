@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "doc/builder.h"
+#include "harness.h"
 #include "net/network.h"
 #include "server/interaction_server.h"
 #include "storage/database.h"
@@ -117,8 +118,5 @@ BENCHMARK(BM_FreezeReleaseCycle);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintFigure8();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintFigure8);
 }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "harness.h"
 #include "media/synthetic.h"
 #include "search/similarity_index.h"
 #include "search/text_index.h"
@@ -164,8 +165,5 @@ BENCHMARK(BM_TextQuery);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintRetrievalQuality();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintRetrievalQuality);
 }

@@ -7,11 +7,10 @@
 // (storage/sharded_db): shard count x mutation mix, reporting WAL
 // record/byte/sync counts, verifying that replaying every shard's log
 // onto a fresh DatabaseServer reproduces it byte-for-byte, and
-// crash-recovering each shard through the seeded fault injector.
-// Results land in BENCH_storage.json (--json_out=PATH); --smoke shrinks
-// the workload and exits nonzero when a durability invariant breaks or
-// the JSON cannot be written. --metrics_out/--trace_out dump the obs
-// layer as in the other benches.
+// crash-recovering each shard through the seeded fault injector. Results
+// land in --json_out=PATH; --smoke shrinks the workload and exits nonzero
+// when a durability invariant breaks or the JSON cannot be written.
+// --metrics_out/--trace_out dump the obs layer as in the other benches.
 
 #include <benchmark/benchmark.h>
 
@@ -367,7 +366,7 @@ BENCHMARK(BM_WalReplay);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("storage", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   if (!harness.Start(argc, argv)) return 1;
   if (!harness.smoke()) PrintFigure7();
   std::vector<DurabilityRow> rows =

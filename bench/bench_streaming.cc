@@ -6,11 +6,11 @@
 // layer on time, squeezed links shed enhancement layers (never the base)
 // to protect continuity.
 //
-// Results are printed and written as machine-readable JSON
-// (BENCH_streaming.json; override with --json_out=PATH). --smoke shrinks
-// the sweep for a ctest-able perf smoke run and exits nonzero when a
-// streaming invariant breaks (a base layer dropped, a stream aborted, a
-// stall on the ample link) or the JSON cannot be written.
+// Results are printed and written as machine-readable JSON (to
+// --json_out=PATH). --smoke shrinks the sweep for a ctest-able perf smoke
+// run and exits nonzero when a streaming invariant breaks (a base layer
+// dropped, a stream aborted, a stall on the ample link) or the JSON
+// cannot be written.
 //
 // --metrics_out=PATH additionally dumps the obs MetricsRegistry snapshot
 // (byte-identical across runs — the simulation is deterministic) and
@@ -234,7 +234,7 @@ BENCHMARK(BM_StreamToPlayout)->Arg(16000)->Arg(256000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("streaming", /*traced=*/true);
+  bench::Harness harness(/*traced=*/true);
   if (!harness.Start(argc, argv)) return 1;
   std::vector<SweepRow> rows = RunSweep(harness.smoke(), harness.sinks());
   return harness.Finish(

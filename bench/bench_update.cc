@@ -130,8 +130,5 @@ BENCHMARK(BM_RemoveComponent)->Arg(16)->Arg(128);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintAblation);
 }

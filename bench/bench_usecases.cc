@@ -15,6 +15,7 @@
 #include <string>
 
 #include "doc/builder.h"
+#include "harness.h"
 #include "net/network.h"
 #include "server/interaction_server.h"
 #include "storage/database.h"
@@ -120,8 +121,5 @@ BENCHMARK(BM_StoreDocument);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintFigure4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintFigure4);
 }

@@ -14,6 +14,7 @@
 #include "audio/speaker_spotting.h"
 #include "audio/word_spotting.h"
 #include "common/rng.h"
+#include "harness.h"
 #include "media/synthetic.h"
 
 namespace {
@@ -189,8 +190,5 @@ BENCHMARK(BM_WordScoreSpan);
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintFigure10();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return mmconf::bench::FigureBenchMain(argc, argv, PrintFigure10);
 }

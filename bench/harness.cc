@@ -69,8 +69,15 @@ std::optional<uint64_t> ParseCount(const std::string& text) {
   return value;
 }
 
-Harness::Harness(const std::string& name, bool traced)
-    : json_path_("BENCH_" + name + ".json") {
+int FigureBenchMain(int argc, char** argv, void (*print_figure)()) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  print_figure();
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
+}
+
+Harness::Harness(bool traced) {
   Switch("smoke", &smoke_);
   Value("json_out", PathFlag(&json_path_));
   Value("metrics_out", PathFlag(&metrics_path_));
@@ -147,7 +154,7 @@ int Harness::Finish(bool verdict, const Report& report,
             (i + 1 < report.rows.size() ? ",\n" : "\n");
   }
   json += "  ]\n}\n";
-  bool wrote = WriteFileChecked(json_path_, json);
+  bool wrote = json_path_.empty() || WriteFileChecked(json_path_, json);
   if (!metrics_path_.empty()) {
     if (!metrics_artifact_) metrics_artifact_ = registry_.Snapshot().ToJson();
     wrote = WriteFileChecked(metrics_path_, *metrics_artifact_) && wrote;

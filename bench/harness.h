@@ -1,10 +1,11 @@
-// The one harness the gated bench binaries share: command-line flags
-// (unknown and malformed ones rejected before anything is written),
-// output-path probing, the checked {"bench", "smoke", "<key>": [rows]}
-// report writer, the metrics snapshot and trace dumps, the exit code,
-// and the wall-clock helper. A gated bench's main() reads:
+// The one harness the bench binaries share. A gated bench gets
+// command-line flags (unknown and malformed ones rejected before
+// anything is written), output-path probing, the checked
+// {"bench", "smoke", "<key>": [rows]} report writer, the metrics
+// snapshot and trace dumps, the exit code, and the wall-clock helper.
+// Its main() reads:
 //
-//   bench::Harness harness("streaming", /*traced=*/true);
+//   bench::Harness harness(/*traced=*/true);
 //   if (!harness.Start(argc, argv)) return 1;
 //   std::vector<SweepRow> rows = RunSweep(harness.smoke(), harness.sinks());
 //   return harness.Finish(
@@ -12,11 +13,15 @@
 //       bench::MakeReport("streaming_bandwidth_sweep", "sweep", rows,
 //                         JsonRow));
 //
-// Every bench accepts --smoke, --json_out=PATH (default
-// BENCH_<name>.json) and --metrics_out=PATH; a traced bench also
-// --trace_out=PATH; a bench may declare more (Switch, Count, Value).
-// --benchmark_* flags belong to Google Benchmark, which runs after the
-// report in full (non --smoke) mode. Anything else exits 1.
+// Every gated bench accepts --smoke, --json_out=PATH and
+// --metrics_out=PATH; a traced bench also --trace_out=PATH; a bench may
+// declare more (Switch, Count, Value). Each report is written only when
+// its flag names a path, so no run lands on a checked-in baseline by
+// default. --benchmark_* flags belong to Google Benchmark, which runs
+// after the report in full (non --smoke) mode. Anything else exits 1.
+//
+// A figure bench (a paper figure table plus Google Benchmark timings,
+// no report) hands its main() to FigureBenchMain.
 
 #ifndef MMCONF_BENCH_HARNESS_H_
 #define MMCONF_BENCH_HARNESS_H_
@@ -49,6 +54,11 @@ double MeanWallMicros(int reps, Fn&& fn) {
 /// each row's format string fixes the precision its baseline carries.
 std::string Format(const char* format, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// main() of a figure bench: rejects (exit 1) any argument Google
+/// Benchmark does not take before printing anything, then prints the
+/// figure and runs the benchmarks.
+int FigureBenchMain(int argc, char** argv, void (*print_figure)());
 
 /// A decimal count: digits only, parsed completely, no overflow.
 std::optional<uint64_t> ParseCount(const std::string& text);
@@ -88,9 +98,8 @@ struct ObsSinks {
 
 class Harness {
  public:
-  /// `name` gives the default report path, BENCH_<name>.json; `traced`
-  /// says whether the bench accepts --trace_out=.
-  Harness(const std::string& name, bool traced);
+  /// `traced` says whether the bench accepts --trace_out=.
+  explicit Harness(bool traced);
 
   /// Declares `--name`, which sets `*on`.
   void Switch(const std::string& name, bool* on);
@@ -123,10 +132,10 @@ class Harness {
   /// registry snapshot and the tracer's timeline.
   void SetArtifacts(std::string metrics_json, std::string trace);
 
-  /// Writes the report, the metrics snapshot and the trace. In full
-  /// mode then runs `full_only` (when given) and Google Benchmark.
-  /// Returns the exit code: 0 iff `verdict` holds and every write
-  /// succeeded.
+  /// Writes the report, the metrics snapshot and the trace, each to
+  /// the path its flag gave (none by default). In full mode then runs
+  /// `full_only` (when given) and Google Benchmark. Returns the exit
+  /// code: 0 iff `verdict` holds and every write succeeded.
   int Finish(bool verdict, const Report& report,
              void (*full_only)() = nullptr);
 

@@ -1,7 +1,6 @@
 #include "common/bytes.h"
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 
 namespace mmconf {
@@ -211,7 +210,7 @@ uint32_t Crc32cSlice8(const uint8_t* data, size_t n, uint32_t seed) {
 }
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(MMCONF_FORCE_SCALAR)
-#define MMCONF_CRC32C_HW 1
+#define MMCONF_HW_CRC32C 1
 
 __attribute__((target("sse4.2"))) uint32_t Crc32cHardware(
     const uint8_t* data, size_t n, uint32_t seed) {
@@ -245,7 +244,7 @@ __attribute__((target("sse4.2"))) uint32_t Crc32cHardware(
 
 bool HardwareCrcAvailable() { return __builtin_cpu_supports("sse4.2"); }
 
-#endif  // MMCONF_CRC32C_HW
+#endif  // MMCONF_HW_CRC32C
 
 using CrcFn = uint32_t (*)(const uint8_t*, size_t, uint32_t);
 
@@ -263,7 +262,7 @@ CrcDispatch ResolveCrc(Crc32cImpl impl) {
     case Crc32cImpl::kSlice8:
       return {Crc32cSlice8, Crc32cImpl::kSlice8};
     case Crc32cImpl::kHardware:
-#ifdef MMCONF_CRC32C_HW
+#ifdef MMCONF_HW_CRC32C
       if (HardwareCrcAvailable()) {
         return {Crc32cHardware, Crc32cImpl::kHardware};
       }
@@ -272,7 +271,7 @@ CrcDispatch ResolveCrc(Crc32cImpl impl) {
     case Crc32cImpl::kAuto:
       break;
   }
-#ifdef MMCONF_CRC32C_HW
+#ifdef MMCONF_HW_CRC32C
   if (HardwareCrcAvailable()) {
     return {Crc32cHardware, Crc32cImpl::kHardware};
   }
@@ -280,27 +279,8 @@ CrcDispatch ResolveCrc(Crc32cImpl impl) {
   return {Crc32cSlice8, Crc32cImpl::kSlice8};
 }
 
-/// First-use engine choice: the MMCONF_CRC32C environment variable
-/// ("table", "slice8", "hardware") overrides auto-detection — for A/B
-/// timing and for pinning the portable engine when triaging a machine.
-/// Unknown values and unavailable engines fall back to kAuto.
-CrcDispatch InitialCrcDispatch() {
-  const char* requested = std::getenv("MMCONF_CRC32C");
-  if (requested != nullptr) {
-    Crc32cImpl impl = Crc32cImpl::kAuto;
-    if (std::strcmp(requested, "table") == 0) impl = Crc32cImpl::kTable;
-    if (std::strcmp(requested, "slice8") == 0) impl = Crc32cImpl::kSlice8;
-    if (std::strcmp(requested, "hardware") == 0) {
-      impl = Crc32cImpl::kHardware;
-    }
-    CrcDispatch resolved = ResolveCrc(impl);
-    if (resolved.fn != nullptr) return resolved;
-  }
-  return ResolveCrc(Crc32cImpl::kAuto);
-}
-
 CrcDispatch& GlobalCrcDispatch() {
-  static CrcDispatch dispatch = InitialCrcDispatch();
+  static CrcDispatch dispatch = ResolveCrc(Crc32cImpl::kAuto);
   return dispatch;
 }
 

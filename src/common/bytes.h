@@ -98,8 +98,7 @@ enum class Crc32cImpl {
 /// selection unchanged — when the requested engine is unavailable
 /// (kHardware without SSE4.2 support, or in a forced-scalar build). Not
 /// synchronized: call during startup or single-threaded tests. The
-/// initial selection honors the MMCONF_CRC32C environment variable
-/// ("table", "slice8", "hardware") before falling back to kAuto.
+/// initial selection is kAuto.
 bool SetCrc32cImpl(Crc32cImpl impl);
 /// The engine Crc32c() currently dispatches to (never kAuto).
 Crc32cImpl ActiveCrc32cImpl();

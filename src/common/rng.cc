@@ -6,21 +6,16 @@ namespace mmconf {
 
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t x = seed;
-  for (auto& s : s_) s = SplitMix64(x);
+  // The first four splitmix64 outputs from state `seed`.
+  for (auto& s : s_) {
+    s = Mix64(seed);
+    seed += kSplitMix64Gamma;
+  }
 }
 
 uint64_t Rng::Next() {

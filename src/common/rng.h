@@ -8,6 +8,20 @@
 
 namespace mmconf {
 
+/// splitmix64's state increment (the golden-ratio gamma).
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64's output for state `x`: the finalizer applied to
+/// x + gamma. A bijection on 64-bit values, so distinct inputs never
+/// collide. It expands Rng seeds, mixes ids in the shard-routing hash
+/// and ranks speakers for compositor tie-breaks.
+inline uint64_t Mix64(uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic pseudo-random generator (xoshiro256**). All stochastic
 /// parts of the library (synthetic media, workload generators, EM
 /// initialization) take an explicit `Rng` so experiments are reproducible

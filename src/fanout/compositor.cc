@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/rng.h"
 #include "imaging/ops.h"
 
 namespace mmconf::fanout {
@@ -15,14 +16,9 @@ using media::Image;
 using media::Rect;
 
 uint64_t SpeakerTieRank(uint64_t seed, int speaker) {
-  // splitmix64 finalizer over seed ^ id: a bijective scramble, so two
-  // distinct speakers never collide under the same seed and the ranking
-  // depends on nothing but (seed, id).
-  uint64_t z = seed ^ static_cast<uint64_t>(static_cast<int64_t>(speaker));
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  // Mix64 is a bijection, so two distinct speakers never collide under
+  // the same seed and the ranking depends on nothing but (seed, id).
+  return Mix64(seed ^ static_cast<uint64_t>(static_cast<int64_t>(speaker)));
 }
 
 namespace {

@@ -1,7 +1,5 @@
 #include "prefetch/cache.h"
 
-#include <algorithm>
-
 namespace mmconf::prefetch {
 
 const char* CachePolicyToString(CachePolicy policy) {
@@ -36,49 +34,27 @@ void ClientCache::SetObserver(obs::MetricsRegistry* metrics) {
 }
 
 bool ClientCache::Lookup(const std::string& key) {
-  if (policy_ == CachePolicy::kNone) {
-    ++stats_.misses;
-    if (m_misses_ != nullptr) m_misses_->Add();
-    return false;
-  }
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (policy_ == CachePolicy::kNone || entries_.FindAndTouch(key) == nullptr) {
     ++stats_.misses;
     if (m_misses_ != nullptr) m_misses_->Add();
     return false;
   }
   ++stats_.hits;
   if (m_hits_ != nullptr) m_hits_->Add();
-  lru_.erase(it->second.lru_position);
-  lru_.push_front(key);
-  it->second.lru_position = lru_.begin();
   return true;
 }
 
 void ClientCache::Evict() {
-  if (entries_.empty()) return;
-  std::string victim;
+  // kLru evicts the least recent entry. kPreference evicts the lowest
+  // score; walking from the least recent end lets the least recently
+  // used candidate win score ties.
+  const auto* victim = &entries_.LeastRecentFirst().front();
   if (policy_ == CachePolicy::kPreference) {
-    // Lowest score goes first; ties broken by LRU order (back of list).
-    // Walk from the back so the least recently used candidate is seen
-    // first and survives score ties.
-    double worst = 0;
-    bool first = true;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      const Entry& entry = entries_.find(*it)->second;
-      if (first || entry.score < worst) {
-        worst = entry.score;
-        victim = *it;
-        first = false;
-      }
+    for (const auto& node : entries_.LeastRecentFirst()) {
+      if (node.value < victim->value) victim = &node;
     }
-  } else {
-    victim = lru_.back();
   }
-  auto it = entries_.find(victim);
-  used_ -= it->second.bytes;
-  lru_.erase(it->second.lru_position);
-  entries_.erase(it);
+  entries_.Erase(victim->key);
   ++stats_.evictions;
   if (m_evictions_ != nullptr) m_evictions_->Add();
 }
@@ -91,16 +67,9 @@ Status ClientCache::Insert(const std::string& key, size_t bytes,
                                      " bytes exceeds cache capacity " +
                                      std::to_string(capacity_));
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    used_ -= it->second.bytes;
-    lru_.erase(it->second.lru_position);
-    entries_.erase(it);
-  }
-  while (used_ + bytes > capacity_) Evict();
-  lru_.push_front(key);
-  entries_.emplace(key, Entry{bytes, score, lru_.begin()});
-  used_ += bytes;
+  entries_.Erase(key);
+  while (entries_.used_bytes() + bytes > capacity_) Evict();
+  entries_.InsertFront(key, bytes, score);
   ++stats_.insertions;
   if (m_insertions_ != nullptr) m_insertions_->Add();
   return Status::OK();

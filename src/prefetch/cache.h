@@ -2,10 +2,9 @@
 #define MMCONF_PREFETCH_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <string>
 
+#include "common/lru.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 
@@ -47,7 +46,7 @@ class ClientCache {
 
   CachePolicy policy() const { return policy_; }
   size_t capacity_bytes() const { return capacity_; }
-  size_t used_bytes() const { return used_; }
+  size_t used_bytes() const { return entries_.used_bytes(); }
   size_t entry_count() const { return entries_.size(); }
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats(); }
@@ -67,23 +66,15 @@ class ClientCache {
   Status Insert(const std::string& key, size_t bytes, double score);
 
   bool Contains(const std::string& key) const {
-    return entries_.count(key) > 0;
+    return entries_.Find(key) != nullptr;
   }
 
  private:
-  struct Entry {
-    size_t bytes = 0;
-    double score = 0;
-    std::list<std::string>::iterator lru_position;
-  };
-
   void Evict();
 
   size_t capacity_;
   CachePolicy policy_;
-  size_t used_ = 0;
-  std::map<std::string, Entry> entries_;
-  std::list<std::string> lru_;  ///< front = most recently used
+  LruIndex<double> entries_;  ///< value: the entry's prediction score
   CacheStats stats_;
   obs::Counter* m_hits_ = nullptr;
   obs::Counter* m_misses_ = nullptr;

@@ -1,7 +1,6 @@
 #include "prefetch/predictor.h"
 
 #include <algorithm>
-#include <map>
 
 namespace mmconf::prefetch {
 
@@ -9,12 +8,6 @@ using cpnet::Assignment;
 using cpnet::ValueId;
 using cpnet::VarId;
 
-namespace {
-
-/// Shared final ordering: score descending, then (component,
-/// presentation) ascending. The comparator is a total order over the
-/// distinct keys, so both implementations converge to the same sequence
-/// no matter how the candidates were collected.
 void SortCandidates(std::vector<PrefetchCandidate>* candidates) {
   std::sort(candidates->begin(), candidates->end(),
             [](const PrefetchCandidate& a, const PrefetchCandidate& b) {
@@ -23,8 +16,6 @@ void SortCandidates(std::vector<PrefetchCandidate>* candidates) {
               return a.presentation < b.presentation;
             });
 }
-
-}  // namespace
 
 void PrefetchPredictor::SetObserver(obs::MetricsRegistry* metrics) {
   if (metrics != nullptr) {
@@ -150,100 +141,6 @@ Result<std::vector<PrefetchCandidate>> PrefetchPredictor::RankCandidates(
     m_rank_calls_->Add();
     m_rank_candidates_->Observe(static_cast<int64_t>(candidates.size()));
   }
-  return candidates;
-}
-
-Result<std::vector<PrefetchCandidate>>
-PrefetchPredictor::RankCandidatesBaseline(const Assignment& current) const {
-  const doc::MultimediaDocument& document = *document_;
-  const cpnet::CpNet& net = document.net();
-  if (current.size() != net.num_variables() || !current.IsComplete()) {
-    return Status::InvalidArgument(
-        "current configuration must be a full assignment");
-  }
-  // Accumulated weight per (component, presentation-name).
-  std::map<std::pair<std::string, std::string>, double> weights;
-
-  for (size_t i = 0; i < document.num_components(); ++i) {
-    VarId var = static_cast<VarId>(i);
-    // Prior over the viewer's next choice on this component: the
-    // author's ranking given the *current* parent values (position decay
-    // 1, 1/2, 1/3, ...).
-    size_t row;
-    {
-      std::vector<ValueId> parent_values;
-      for (VarId parent : net.Parents(var)) {
-        parent_values.push_back(current.Get(parent));
-      }
-      MMCONF_ASSIGN_OR_RETURN(row, net.CptOf(var).RowIndex(parent_values));
-    }
-    MMCONF_ASSIGN_OR_RETURN(cpnet::PreferenceRanking ranking,
-                            net.CptOf(var).Ranking(row));
-    for (size_t position = 0; position < ranking.size(); ++position) {
-      ValueId value = ranking[position];
-      if (value == current.Get(var)) continue;  // Already displayed.
-      double choice_weight = 1.0 / static_cast<double>(position + 1);
-      // Hypothetical next choice: pin this component to `value`.
-      Assignment evidence(net.num_variables());
-      evidence.Set(var, value);
-      MMCONF_ASSIGN_OR_RETURN(Assignment completion,
-                              net.OptimalCompletion(evidence));
-      // Everything visible under the completion but not under the
-      // current configuration is a prefetch candidate.
-      for (size_t j = 0; j < document.num_components(); ++j) {
-        const doc::MultimediaComponent* target = document.components()[j];
-        if (target->IsComposite()) continue;
-        VarId target_var = static_cast<VarId>(j);
-        MMCONF_ASSIGN_OR_RETURN(bool visible,
-                                document.IsVisible(completion,
-                                                   target->name()));
-        if (!visible) continue;
-        bool already_shown =
-            completion.Get(target_var) == current.Get(target_var);
-        if (already_shown) {
-          MMCONF_ASSIGN_OR_RETURN(
-              bool currently_visible,
-              document.IsVisible(current, target->name()));
-          if (currently_visible) continue;  // Client already has it.
-        }
-        MMCONF_ASSIGN_OR_RETURN(
-            doc::MMPresentation presentation,
-            document.PresentationFor(completion, target->name()));
-        if (presentation.kind == doc::PresentationKind::kHidden) continue;
-        weights[{target->name(), presentation.name}] += choice_weight;
-      }
-    }
-  }
-
-  std::vector<PrefetchCandidate> candidates;
-  candidates.reserve(weights.size());
-  for (const auto& [key, score] : weights) {
-    PrefetchCandidate candidate;
-    candidate.component = key.first;
-    candidate.presentation = key.second;
-    candidate.score = score;
-    MMCONF_ASSIGN_OR_RETURN(const doc::MultimediaComponent* component,
-                            document.Find(key.first));
-    const doc::PrimitiveMultimediaComponent* primitive =
-        component->AsPrimitive();
-    // Find the presentation option by name for the cost model.
-    bool priced = false;
-    for (const doc::MMPresentation& option : primitive->presentations()) {
-      if (option.name == key.second) {
-        candidate.cost_bytes = doc::PresentationCostBytes(
-            option, primitive->content().content_bytes);
-        priced = true;
-        break;
-      }
-    }
-    if (!priced) {
-      return Status::Internal("component \"" + key.first +
-                              "\" has no presentation named \"" +
-                              key.second + "\"");
-    }
-    candidates.push_back(std::move(candidate));
-  }
-  SortCandidates(&candidates);
   return candidates;
 }
 

@@ -48,16 +48,11 @@ class PrefetchPredictor {
   /// cone (CpNet::RecompleteInto into a reused scratch assignment),
   /// visibility is answered by one bulk pass per completion, and weights
   /// accumulate in a dense (variable, value)-indexed table resolved to
-  /// names once at the end. Produces byte-identical output to
-  /// RankCandidatesBaseline.
+  /// names once at the end. Produces byte-identical output to the
+  /// straightforward baseline ranker (full optimal completion and
+  /// per-component string queries per hypothetical choice) that the
+  /// tests and the prefetch bench keep as its oracle.
   Result<std::vector<PrefetchCandidate>> RankCandidates(
-      const cpnet::Assignment& current) const;
-
-  /// The straightforward reference implementation (full optimal
-  /// completion and per-component string queries per hypothetical
-  /// choice). Kept as the equivalence oracle for RankCandidates and as
-  /// the "before" leg of the prefetch benchmarks.
-  Result<std::vector<PrefetchCandidate>> RankCandidatesBaseline(
       const cpnet::Assignment& current) const;
 
   /// Publishes ranking work into `prefetch.rank.*`: a call counter and a
@@ -73,6 +68,12 @@ class PrefetchPredictor {
   mutable obs::Counter* m_rank_calls_ = nullptr;
   mutable obs::Histogram* m_rank_candidates_ = nullptr;
 };
+
+/// The one candidate order: score descending, then (component,
+/// presentation) ascending. It is a total order over distinct keys, so
+/// every ranker that collects the same candidates returns the same
+/// sequence, however it collected them.
+void SortCandidates(std::vector<PrefetchCandidate>* candidates);
 
 /// Greedy plan: the highest-score candidates that fit a byte budget
 /// (knapsack-by-rank, the natural policy when scores are likelihoods and

@@ -560,35 +560,23 @@ bool ReadThroughCache::HasType(const std::string& type_name) const {
   return store_->HasType(type_name);
 }
 
-void ReadThroughCache::Touch(const std::string& key, Entry& entry) const {
-  lru_.erase(entry.lru_it);
-  lru_.push_front(key);
-  entry.lru_it = lru_.begin();
-}
-
-void ReadThroughCache::Insert(const std::string& key, Entry entry,
-                              size_t bytes) {
+void ReadThroughCache::Insert(std::string key, Entry entry,
+                              size_t bytes) const {
   if (capacity_bytes_ == 0 || bytes > capacity_bytes_) return;
-  auto existing = entries_.find(key);
-  if (existing != entries_.end()) {
-    size_bytes_ -= existing->second.billed;
-    lru_.erase(existing->second.lru_it);
-    entries_.erase(existing);
-  }
-  while (size_bytes_ + bytes > capacity_bytes_ && !lru_.empty()) {
-    auto victim = entries_.find(lru_.back());
-    size_bytes_ -= victim->second.billed;
-    entries_.erase(victim);
-    lru_.pop_back();
+  lru_.Erase(key);
+  while (lru_.used_bytes() + bytes > capacity_bytes_) {
+    lru_.Erase(lru_.LeastRecentFirst().front().key);
     ++evictions_;
     if (m_evictions_ != nullptr) m_evictions_->Add(1);
   }
-  entry.billed = bytes;
-  lru_.push_front(key);
-  entry.lru_it = lru_.begin();
-  size_bytes_ += bytes;
-  entries_[key] = std::move(entry);
-  if (g_bytes_ != nullptr) g_bytes_->Set(static_cast<int64_t>(size_bytes_));
+  lru_.InsertFront(std::move(key), bytes, std::move(entry));
+  PublishBytes();
+}
+
+void ReadThroughCache::PublishBytes() const {
+  if (g_bytes_ != nullptr) {
+    g_bytes_->Set(static_cast<int64_t>(lru_.used_bytes()));
+  }
 }
 
 void ReadThroughCache::NoteHit() const {
@@ -613,18 +601,12 @@ Result<ObjectRef> ReadThroughCache::Store(
 
 Result<ObjectRecord> ReadThroughCache::FetchRecord(const ObjectRef& ref) const {
   std::string key = CacheKey(ref, "", 'r');
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (const Entry* hit = lru_.FindAndTouch(key)) {
     NoteHit();
-    Touch(key, it->second);
-    return it->second.record;
+    return hit->record;
   }
   NoteMiss();
   MMCONF_ASSIGN_OR_RETURN(ObjectRecord record, store_->FetchRecord(ref));
-  Entry entry;
-  entry.ref = ref;
-  entry.is_record = true;
-  entry.record = record;
   // Bill records by a rough serialized size: field names + payloads.
   size_t bytes = 32;
   for (const auto& [name, value] : record.fields) {
@@ -633,26 +615,20 @@ Result<ObjectRecord> ReadThroughCache::FetchRecord(const ObjectRef& ref) const {
       bytes += std::get<std::string>(value).size();
     }
   }
-  const_cast<ReadThroughCache*>(this)->Insert(key, std::move(entry), bytes);
+  Insert(std::move(key), {ref, {}, record}, bytes);
   return record;
 }
 
 Result<Bytes> ReadThroughCache::FetchBlob(const ObjectRef& ref,
                                           const std::string& blob_field) const {
   std::string key = CacheKey(ref, blob_field, 'b');
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (const Entry* hit = lru_.FindAndTouch(key)) {
     NoteHit();
-    Touch(key, it->second);
-    return it->second.blob;
+    return hit->blob;
   }
   NoteMiss();
   MMCONF_ASSIGN_OR_RETURN(Bytes payload, store_->FetchBlob(ref, blob_field));
-  Entry entry;
-  entry.ref = ref;
-  entry.blob = payload;
-  const_cast<ReadThroughCache*>(this)->Insert(key, std::move(entry),
-                                              payload.size());
+  Insert(std::move(key), {ref, payload, {}}, payload.size());
   return payload;
 }
 
@@ -661,14 +637,14 @@ Result<Bytes> ReadThroughCache::FetchBlobRange(const ObjectRef& ref,
                                                size_t offset,
                                                size_t length) const {
   std::string key = CacheKey(ref, blob_field, 'b');
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    const Bytes& blob = it->second.blob;
-    if (offset <= blob.size() && length <= blob.size() - offset) {
-      NoteHit();
-      Touch(key, it->second);
-      return Bytes(blob.begin() + offset, blob.begin() + offset + length);
-    }
+  const Entry* hit = lru_.FindAndTouch(key, [&](const Entry& entry) {
+    return offset <= entry.blob.size() &&
+           length <= entry.blob.size() - offset;
+  });
+  if (hit != nullptr) {
+    NoteHit();
+    return Bytes(hit->blob.begin() + offset,
+                 hit->blob.begin() + offset + length);
   }
   NoteMiss();
   return store_->FetchBlobRange(ref, blob_field, offset, length);
@@ -677,11 +653,9 @@ Result<Bytes> ReadThroughCache::FetchBlobRange(const ObjectRef& ref,
 Result<size_t> ReadThroughCache::BlobSize(const ObjectRef& ref,
                                           const std::string& blob_field) const {
   std::string key = CacheKey(ref, blob_field, 'b');
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (const Entry* hit = lru_.FindAndTouch(key)) {
     NoteHit();
-    Touch(key, it->second);
-    return it->second.blob.size();
+    return hit->blob.size();
   }
   NoteMiss();
   return store_->BlobSize(ref, blob_field);
@@ -707,48 +681,28 @@ Result<std::vector<ObjectRef>> ReadThroughCache::List(
 }
 
 void ReadThroughCache::InvalidateRef(const ObjectRef& ref) {
-  auto it = entries_.begin();
-  while (it != entries_.end()) {
-    if (it->second.ref == ref) {
-      size_bytes_ -= it->second.billed;
-      lru_.erase(it->second.lru_it);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (g_bytes_ != nullptr) g_bytes_->Set(static_cast<int64_t>(size_bytes_));
+  lru_.EraseIf([&](const auto& node) { return node.value.ref == ref; });
+  PublishBytes();
 }
 
 void ReadThroughCache::InvalidateShard(
     size_t shard, const std::function<size_t(const ObjectRef&)>& shard_of) {
-  auto it = entries_.begin();
-  while (it != entries_.end()) {
-    if (shard_of(it->second.ref) == shard) {
-      size_bytes_ -= it->second.billed;
-      lru_.erase(it->second.lru_it);
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (g_bytes_ != nullptr) g_bytes_->Set(static_cast<int64_t>(size_bytes_));
+  lru_.EraseIf(
+      [&](const auto& node) { return shard_of(node.value.ref) == shard; });
+  PublishBytes();
 }
 
 void ReadThroughCache::InvalidateAll() {
-  entries_.clear();
-  lru_.clear();
-  size_bytes_ = 0;
-  if (g_bytes_ != nullptr) g_bytes_->Set(0);
+  lru_ = {};
+  PublishBytes();
 }
 
 void ReadThroughCache::SetObserver(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
-  m_hits_ = metrics_->GetCounter("storage.cache.hits");
-  m_misses_ = metrics_->GetCounter("storage.cache.misses");
-  m_evictions_ = metrics_->GetCounter("storage.cache.evictions");
-  g_bytes_ = metrics_->GetGauge("storage.cache.bytes");
+  if (metrics == nullptr) return;
+  m_hits_ = metrics->GetCounter("storage.cache.hits");
+  m_misses_ = metrics->GetCounter("storage.cache.misses");
+  m_evictions_ = metrics->GetCounter("storage.cache.evictions");
+  g_bytes_ = metrics->GetGauge("storage.cache.bytes");
 }
 
 }  // namespace mmconf::storage

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/lru.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "net/network.h"
@@ -308,8 +308,8 @@ class ReadThroughCache : public ObjectStore {
       const std::function<size_t(const ObjectRef&)>& shard_of);
   void InvalidateAll();
 
-  size_t size_bytes() const { return size_bytes_; }
-  size_t entries() const { return entries_.size(); }
+  size_t size_bytes() const { return lru_.used_bytes(); }
+  size_t entries() const { return lru_.size(); }
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
   size_t evictions() const { return evictions_; }
@@ -318,32 +318,28 @@ class ReadThroughCache : public ObjectStore {
   void SetObserver(obs::MetricsRegistry* metrics);
 
  private:
+  /// One cached record or blob; the key's kind byte says which.
   struct Entry {
     ObjectRef ref;
-    Bytes blob;                ///< blob payload (empty for records)
-    bool is_record = false;
-    ObjectRecord record;       ///< valid when is_record
-    size_t billed = 0;         ///< bytes charged against the capacity
-    std::list<std::string>::iterator lru_it;
+    Bytes blob;           ///< blob payload (empty for records)
+    ObjectRecord record;  ///< valid for a record key
   };
 
-  void Touch(const std::string& key, Entry& entry) const;
-  void Insert(const std::string& key, Entry entry, size_t bytes);
+  void Insert(std::string key, Entry entry, size_t bytes) const;
   void InvalidateRef(const ObjectRef& ref);
+  void PublishBytes() const;
   void NoteHit() const;
   void NoteMiss() const;
 
   ObjectStore* store_;
   size_t capacity_bytes_;
-  // Mutable: fetches are logically const but update recency + stats.
-  mutable std::map<std::string, Entry> entries_;
-  mutable std::list<std::string> lru_;  ///< front = most recent
-  mutable size_t size_bytes_ = 0;
+  // Mutable: fetches are logically const but fill the cache and update
+  // recency + stats. Each node bills its payload size.
+  mutable LruIndex<Entry> lru_;
   mutable size_t hits_ = 0;
   mutable size_t misses_ = 0;
   mutable size_t evictions_ = 0;
 
-  obs::MetricsRegistry* metrics_ = nullptr;
   mutable obs::Counter* m_hits_ = nullptr;
   mutable obs::Counter* m_misses_ = nullptr;
   obs::Counter* m_evictions_ = nullptr;

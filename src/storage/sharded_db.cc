@@ -3,20 +3,19 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/rng.h"
+
 namespace mmconf::storage {
 
 namespace {
 
-/// splitmix64 finalizer — the id mixer of the routing hash.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+/// The routing hash: an FNV-1a-style pass over the type name, folded
+/// with the id through Mix64. The offset basis is 1469598103934665603, not
+/// FNV-1a's 14695981039346656037 (the one federation/placement.cc
+/// uses); it is kept because shard routing, and with it every
+/// persisted shard image and bench baseline, depends on it.
 uint64_t HashRef(const std::string& type, ObjectId id) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a over the type name.
+  uint64_t h = 1469598103934665603ull;
   for (char c : type) {
     h = (h ^ static_cast<uint8_t>(c)) * 1099511628211ull;
   }

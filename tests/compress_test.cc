@@ -13,6 +13,7 @@
 #include "compress/wavelet_packet.h"
 #include "media/synthetic.h"
 #include "obs/metrics.h"
+#include "oracles/oracles.h"
 
 namespace mmconf::compress {
 namespace {
@@ -157,53 +158,22 @@ TEST(WaveletTest, RoundTripPropertyAcrossBasesAndLevels) {
 TEST(WaveletTest, FlatKernelsMatchRuntimeFilterReference) {
   // The production kernels use static tap tables and split
   // interior/boundary loops; this pins them bit-for-bit against the
-  // textbook formulation — filters recomputed from their defining
-  // sqrt expressions, circular `% n` indexing, incremental accumulation.
-  const double s = 1.0 / std::sqrt(2.0);
-  const double s3 = std::sqrt(3.0);
-  const double norm = 4.0 * std::sqrt(2.0);
-  const std::vector<double> daub_low = {(1 + s3) / norm, (3 + s3) / norm,
-                                        (3 - s3) / norm, (1 - s3) / norm};
-  std::vector<double> daub_high(4);
-  for (size_t k = 0; k < 4; ++k) {
-    daub_high[k] = (k % 2 == 0 ? 1.0 : -1.0) * daub_low[3 - k];
-  }
-  const std::vector<double> haar_low = {s, s};
-  const std::vector<double> haar_high = {s, -s};
+  // textbook formulation (oracles/oracles.h).
   Rng rng(17);
   for (WaveletBasis basis : {WaveletBasis::kHaar, WaveletBasis::kDaub4}) {
-    const std::vector<double>& low =
-        basis == WaveletBasis::kHaar ? haar_low : daub_low;
-    const std::vector<double>& high =
-        basis == WaveletBasis::kHaar ? haar_high : daub_high;
+    const oracles::TapSet taps = oracles::TextbookTaps(basis);
     for (size_t n : {2u, 4u, 6u, 64u, 130u}) {
       std::vector<double> signal(n);
       for (double& v : signal) v = rng.Uniform(-100, 100);
-      const size_t half = n / 2;
-      std::vector<double> expected(n);
-      for (size_t k = 0; k < half; ++k) {
-        double a = 0, d = 0;
-        for (size_t m = 0; m < low.size(); ++m) {
-          double x = signal[(2 * k + m) % n];
-          a += low[m] * x;
-          d += high[m] * x;
-        }
-        expected[k] = a;
-        expected[half + k] = d;
-      }
+      std::vector<double> expected = signal;
+      oracles::TextbookLine(expected, taps, /*forward=*/true);
       std::vector<double> forward = signal;
       ASSERT_TRUE(DwtStep(forward, basis).ok());
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(forward[i], expected[i]) << "fwd n=" << n << " i=" << i;
       }
-      std::vector<double> inverse_expected(n, 0.0);
-      for (size_t k = 0; k < half; ++k) {
-        for (size_t m = 0; m < low.size(); ++m) {
-          size_t idx = (2 * k + m) % n;
-          inverse_expected[idx] +=
-              low[m] * forward[k] + high[m] * forward[half + k];
-        }
-      }
+      std::vector<double> inverse_expected = forward;
+      oracles::TextbookLine(inverse_expected, taps, /*forward=*/false);
       std::vector<double> inverse = forward;
       ASSERT_TRUE(IdwtStep(inverse, basis).ok());
       for (size_t i = 0; i < n; ++i) {

@@ -2,14 +2,18 @@
 
 #include "common/rng.h"
 #include "cpnet/assignment.h"
-#include "cpnet/brute_force.h"
 #include "cpnet/cpnet.h"
 #include "cpnet/cpt.h"
+#include "cpnet/dominance.h"
 #include "cpnet/serialize.h"
 #include "doc/builder.h"
+#include "oracles/oracles.h"
 
 namespace mmconf::cpnet {
 namespace {
+
+using oracles::BruteForceOptimalCompletion;
+using oracles::EnumerateCompletions;
 
 TEST(AssignmentTest, Basics) {
   Assignment a(3);

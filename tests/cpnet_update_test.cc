@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "cpnet/brute_force.h"
 #include "cpnet/cpnet.h"
 #include "cpnet/update.h"
 #include "doc/builder.h"

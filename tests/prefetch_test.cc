@@ -7,6 +7,7 @@
 #include "doc/builder.h"
 #include "doc/tuning.h"
 #include "net/network.h"
+#include "oracles/oracles.h"
 #include "prefetch/cache.h"
 #include "prefetch/predictor.h"
 #include "prefetch/session.h"
@@ -17,6 +18,7 @@ namespace {
 using cpnet::Assignment;
 using doc::MakeMedicalRecordDocument;
 using doc::MultimediaDocument;
+using oracles::RankCandidatesBaseline;
 
 class PredictorTest : public ::testing::Test {
  protected:
@@ -92,12 +94,12 @@ void ExpectSameRanking(const std::vector<PrefetchCandidate>& fast,
 TEST_F(PredictorTest, FastRankingMatchesBaselineOnMedicalRecord) {
   Assignment config = document_->DefaultPresentation().value();
   ExpectSameRanking(predictor_->RankCandidates(config).value(),
-                    predictor_->RankCandidatesBaseline(config).value());
+                    RankCandidatesBaseline(*document_, config).value());
   // And on a reconfigured state (CT hidden surfaces the XRay).
   Assignment next =
       document_->ReconfigPresentation({{"CT", "hidden"}}).value();
   ExpectSameRanking(predictor_->RankCandidates(next).value(),
-                    predictor_->RankCandidatesBaseline(next).value());
+                    RankCandidatesBaseline(*document_, next).value());
 }
 
 TEST_F(PredictorTest, FastRankingMatchesBaselineWithExtensionVariables) {
@@ -107,7 +109,7 @@ TEST_F(PredictorTest, FastRankingMatchesBaselineWithExtensionVariables) {
   Assignment config = document_->DefaultPresentation().value();
   ASSERT_GT(document_->num_variables(), document_->num_components());
   ExpectSameRanking(predictor_->RankCandidates(config).value(),
-                    predictor_->RankCandidatesBaseline(config).value());
+                    RankCandidatesBaseline(*document_, config).value());
 }
 
 TEST(PredictorEquivalenceTest, FastMatchesBaselineOnRandomDocuments) {
@@ -120,7 +122,7 @@ TEST(PredictorEquivalenceTest, FastMatchesBaselineOnRandomDocuments) {
     Assignment config = document.DefaultPresentation().value();
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectSameRanking(predictor.RankCandidates(config).value(),
-                      predictor.RankCandidatesBaseline(config).value());
+                      RankCandidatesBaseline(document, config).value());
   }
 }
 

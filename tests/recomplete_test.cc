@@ -4,14 +4,15 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "cpnet/brute_force.h"
 #include "cpnet/cpnet.h"
 #include "doc/builder.h"
+#include "oracles/oracles.h"
 
 namespace mmconf::cpnet {
 namespace {
 
 using mmconf::Rng;
+using oracles::BruteForceRecompleteFrom;
 
 /// Pins to exercise for one random net: a root, a leaf, and a mid-chain
 /// variable (when the net is deep enough), plus a couple of random picks.

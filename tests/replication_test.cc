@@ -381,6 +381,58 @@ TEST(CacheTest, CapacityBoundEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
 
+TEST(CacheTest, HitRefreshesRecency) {
+  Clock clock;
+  ShardedDatabaseServer db(&clock);
+  ReadThroughCache cache(&db, 10 * 1024);  // room for two 4 KiB blobs
+  ASSERT_TRUE(cache.RegisterStandardTypes().ok());
+  Rng rng(59);
+  std::vector<ObjectRef> refs;
+  for (int i = 0; i < 3; ++i) {
+    refs.push_back(cache
+                       .Store("Image", ImageFields(i),
+                              {{"FLD_DATA", RandomBytes(4096, rng)}})
+                       .value());
+  }
+  const ObjectRef& a = refs[0];
+  const ObjectRef& b = refs[1];
+  cache.FetchBlob(a, "FLD_DATA").value();
+  cache.FetchBlob(b, "FLD_DATA").value();
+  cache.FetchBlob(a, "FLD_DATA").value();  // hit: A is now most recent
+  EXPECT_EQ(cache.hits(), 1u);
+  cache.FetchBlob(refs[2], "FLD_DATA").value();  // forces one eviction
+  EXPECT_EQ(cache.evictions(), 1u);
+  size_t hits_before = cache.hits();
+  cache.FetchBlob(a, "FLD_DATA").value();
+  EXPECT_EQ(cache.hits(), hits_before + 1);  // A stayed
+  size_t misses_before = cache.misses();
+  cache.FetchBlob(b, "FLD_DATA").value();
+  EXPECT_EQ(cache.misses(), misses_before + 1);  // B went
+}
+
+TEST(CacheTest, OversizedBlobIsServedButNotCached) {
+  Clock clock;
+  ShardedDatabaseServer db(&clock);
+  ReadThroughCache cache(&db, 10 * 1024);
+  ASSERT_TRUE(cache.RegisterStandardTypes().ok());
+  Rng rng(61);
+  Bytes small = RandomBytes(4096, rng);
+  Bytes big = RandomBytes(16 * 1024, rng);
+  ObjectRef small_ref =
+      cache.Store("Image", ImageFields(1), {{"FLD_DATA", small}}).value();
+  ObjectRef big_ref =
+      cache.Store("Image", ImageFields(2), {{"FLD_DATA", big}}).value();
+  EXPECT_EQ(cache.FetchBlob(small_ref, "FLD_DATA").value(), small);
+  EXPECT_EQ(cache.FetchBlob(big_ref, "FLD_DATA").value(), big);
+  EXPECT_EQ(cache.FetchBlob(big_ref, "FLD_DATA").value(), big);
+  EXPECT_EQ(cache.misses(), 3u);  // the big blob misses every time
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.size_bytes(), small.size());
+  EXPECT_EQ(cache.FetchBlob(small_ref, "FLD_DATA").value(), small);
+  EXPECT_EQ(cache.hits(), 1u);  // the resident blob was not displaced
+}
+
 TEST(CacheTest, InvalidateShardDropsOnlyThatShardsEntries) {
   Clock clock;
   ShardedDatabaseServer::Options options;
