@@ -13,13 +13,15 @@
 //    never shipped before the primary of shard 1 dies; the recovery
 //    point (acked-but-unshipped records lost) is reported.
 //
-// Checkpoint/compaction counts, resync time after promotion (virtual
-// time: the epoch snapshot + batch resync on the wire), and the
-// read-through cache's hit rate across a failover invalidation are
-// reported per cell. Everything asserted or written to JSON is
-// virtual-time or count based, so BENCH_replication.json gates in CI
-// like the other benches (--smoke exits nonzero when an invariant
-// breaks). --json_out/--metrics_out/--trace_out as in the other benches.
+// Checkpoint/compaction counts and the image bytes they re-ship, resync
+// time after promotion (virtual time: the epoch snapshot + batch resync
+// on the wire), and the read-through cache's hit rate across a failover
+// invalidation are reported per cell; the last cell runs long enough
+// for its shard image to outgrow the checkpoint floor. Everything
+// asserted or written to JSON is virtual-time or count based, so
+// BENCH_replication.json gates in CI like the other benches (--smoke
+// exits nonzero when an invariant breaks). --json_out/--metrics_out/
+// --trace_out as in the other benches.
 
 #include <benchmark/benchmark.h>
 
@@ -56,6 +58,7 @@ struct ReplRow {
   size_t batches = 0;
   size_t batch_bytes = 0;
   size_t snapshots = 0;
+  size_t snapshot_bytes = 0;
   size_t checkpoints = 0;
   size_t wire_bytes = 0;
   MicrosT end_micros = 0;
@@ -90,6 +93,7 @@ bool Pump(net::ReliableTransport& transport, storage::ReplicatedShardSet& repl,
     row.batches += shipped.value().batches;
     row.batch_bytes += shipped.value().batch_bytes;
     row.snapshots += shipped.value().snapshots;
+    row.snapshot_bytes += shipped.value().snapshot_bytes;
     row.checkpoints += shipped.value().checkpoints;
     if (consumed == 0 && shipped.value().batches == 0 &&
         shipped.value().snapshots == 0) {
@@ -244,29 +248,38 @@ ReplRow RunCell(size_t shards, double drop, size_t mutations,
 std::vector<ReplRow> RunSweep(bool smoke, const bench::ObsSinks& sinks) {
   const size_t mutations = smoke ? 240 : 1200;
   std::printf("== replication: WAL shipping + failover, %zu mutations per "
-              "cell (%s) ==\n",
-              mutations, smoke ? "smoke" : "full");
-  std::printf("%-8s %-6s %-8s %-7s %-6s %-10s %-8s %-7s %-10s %s\n",
-              "shards", "drop", "batches", "snaps", "ckpts", "resync(ms)",
-              "rpo", "cache%", "wire(B)", "drained");
+              "cell, %zu in the last (%s) ==\n",
+              mutations, 4 * mutations, smoke ? "smoke" : "full");
+  std::printf("%-8s %-6s %-8s %-7s %-10s %-6s %-10s %-8s %-7s %-10s %s\n",
+              "shards", "drop", "batches", "snaps", "snap(B)", "ckpts",
+              "resync(ms)", "rpo", "cache%", "wire(B)", "drained");
   struct Cell {
     size_t shards;
     double drop;
+    size_t mutations;
   };
-  const Cell cells[] = {{1, 0.0}, {2, 0.0}, {2, 0.02}, {4, 0.02}};
+  // The last cell grows one shard's image well past the 96 KiB
+  // checkpoint floor, so the trigger's proportional rule decides when
+  // it checkpoints and what it re-ships.
+  const Cell cells[] = {{1, 0.0, mutations},
+                        {2, 0.0, mutations},
+                        {2, 0.02, mutations},
+                        {4, 0.02, mutations},
+                        {1, 0.0, 4 * mutations}};
   std::vector<ReplRow> rows;
   int index = 0;
   for (const Cell& cell : cells) {
-    ReplRow row = RunCell(cell.shards, cell.drop, mutations, sinks, index++);
+    ReplRow row =
+        RunCell(cell.shards, cell.drop, cell.mutations, sinks, index++);
     double hit_rate =
         row.cache_hits + row.cache_misses > 0
             ? 100.0 * static_cast<double>(row.cache_hits) /
                   static_cast<double>(row.cache_hits + row.cache_misses)
             : 0.0;
-    std::printf("%-8zu %-6.2f %-8zu %-7zu %-6zu %-10.1f %-7zu %-7.1f "
-                "%-10zu %s\n",
+    std::printf("%-8zu %-6.2f %-8zu %-7zu %-10zu %-6zu %-10.1f %-7zu "
+                "%-7.1f %-10zu %s\n",
                 row.shards, row.drop, row.batches, row.snapshots,
-                row.checkpoints,
+                row.snapshot_bytes, row.checkpoints,
                 static_cast<double>(row.resync_micros) / 1000.0,
                 row.abrupt_rpo_records, hit_rate, row.wire_bytes,
                 row.drained_exact ? "exact" : "LOST-WRITES");
@@ -280,12 +293,13 @@ std::string JsonRow(const ReplRow& row) {
   return bench::Format(
       "{\"shards\": %zu, \"drop\": %.2f, \"mutations\": %zu, "
       "\"batches\": %zu, \"batch_bytes\": %zu, \"snapshots\": %zu, "
-      "\"checkpoints\": %zu, \"wire_bytes\": %zu, \"end_ms\": %.1f, "
+      "\"snapshot_bytes\": %zu, \"checkpoints\": %zu, "
+      "\"wire_bytes\": %zu, \"end_ms\": %.1f, "
       "\"drained_replayed\": %zu, \"drained_exact\": %s, "
       "\"resync_ms\": %.1f, \"abrupt_rpo_records\": %zu, "
       "\"abrupt_clean\": %s, \"cache_hits\": %zu, \"cache_misses\": %zu}",
       row.shards, row.drop, row.mutations, row.batches, row.batch_bytes,
-      row.snapshots, row.checkpoints, row.wire_bytes,
+      row.snapshots, row.snapshot_bytes, row.checkpoints, row.wire_bytes,
       static_cast<double>(row.end_micros) / 1000.0, row.drained_replayed,
       row.drained_exact ? "true" : "false",
       static_cast<double>(row.resync_micros) / 1000.0, row.abrupt_rpo_records,

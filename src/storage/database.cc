@@ -170,7 +170,11 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x4d4d4442;  // "MMDB"
 
-void WriteFieldValue(ByteWriter& w, const FieldValue& value) {
+// A blob column is written as its payload, not its BlobId: ids are
+// local to one BlobStore (LoadFrom allocates fresh ones), so leaving
+// them out keeps Serialize(LoadFrom(image)) == image.
+void WriteFieldValue(ByteWriter& w, const FieldValue& value,
+                     const BlobStore& blobs) {
   w.PutU8(static_cast<uint8_t>(TypeOf(value)));
   switch (TypeOf(value)) {
     case FieldType::kInt64:
@@ -179,13 +183,15 @@ void WriteFieldValue(ByteWriter& w, const FieldValue& value) {
     case FieldType::kString:
       w.PutString(std::get<std::string>(value));
       break;
-    case FieldType::kBlob:
-      w.PutU64(std::get<BlobId>(value));
+    case FieldType::kBlob: {
+      Result<Bytes> payload = blobs.Get(std::get<BlobId>(value));
+      w.PutBytes(payload.ok() ? *payload : Bytes{});
       break;
+    }
   }
 }
 
-Result<FieldValue> ReadFieldValue(ByteReader& r) {
+Result<FieldValue> ReadFieldValue(ByteReader& r, BlobStore& blobs) {
   MMCONF_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
   switch (tag) {
     case 0: {
@@ -197,8 +203,9 @@ Result<FieldValue> ReadFieldValue(ByteReader& r) {
       return FieldValue{std::move(v)};
     }
     case 2: {
-      MMCONF_ASSIGN_OR_RETURN(uint64_t v, r.GetU64());
-      return FieldValue{BlobId{v}};
+      MMCONF_ASSIGN_OR_RETURN(Bytes payload, r.GetBytes());
+      MMCONF_ASSIGN_OR_RETURN(BlobId id, blobs.Put(payload));
+      return FieldValue{id};
     }
     default:
       return Status::Corruption("bad field value tag");
@@ -232,13 +239,7 @@ Bytes DatabaseServer::Serialize() const {
       w.PutVarint(record.fields.size());
       for (const auto& [name, value] : record.fields) {
         w.PutString(name);
-        WriteFieldValue(w, value);
-        // Blob columns carry their payload inline so the snapshot is
-        // self-contained.
-        if (TypeOf(value) == FieldType::kBlob) {
-          Result<Bytes> payload = blobs_.Get(std::get<BlobId>(value));
-          w.PutBytes(payload.ok() ? *payload : Bytes{});
-        }
+        WriteFieldValue(w, value, blobs_);
       }
     }
   }
@@ -293,12 +294,7 @@ Status DatabaseServer::LoadFrom(const Bytes& snapshot) {
       MMCONF_ASSIGN_OR_RETURN(uint64_t field_count, r.GetVarint());
       for (uint64_t f = 0; f < field_count; ++f) {
         MMCONF_ASSIGN_OR_RETURN(std::string name, r.GetString());
-        MMCONF_ASSIGN_OR_RETURN(FieldValue value, ReadFieldValue(r));
-        if (TypeOf(value) == FieldType::kBlob) {
-          MMCONF_ASSIGN_OR_RETURN(Bytes payload, r.GetBytes());
-          MMCONF_ASSIGN_OR_RETURN(BlobId fresh, blobs_.Put(payload));
-          value = fresh;  // Remap to this store's id space.
-        }
+        MMCONF_ASSIGN_OR_RETURN(FieldValue value, ReadFieldValue(r, blobs_));
         record.fields.emplace(std::move(name), std::move(value));
       }
       MMCONF_RETURN_IF_ERROR(table->RestoreRow(std::move(record)));

@@ -91,8 +91,11 @@ class DatabaseServer : public ObjectStore {
       const std::string& type) const override;
 
   /// Serializes the whole database (catalog, tables, blob payloads) with
-  /// a trailing CRC32C. ObjectRefs remain valid across a
-  /// Serialize/LoadFrom round trip; blob ids are remapped internally.
+  /// a leading CRC32C. The image is canonical: it holds each blob's
+  /// payload, not its store-local id, so two databases with the same
+  /// types and rows serialize to the same bytes, and
+  /// Serialize(LoadFrom(image)) == image. ObjectRefs remain valid
+  /// across the round trip.
   Bytes Serialize() const;
 
   /// Restores a serialized database into this (empty, freshly

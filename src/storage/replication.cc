@@ -164,6 +164,7 @@ Status ReplicatedShardSet::ShipTo(size_t shard_index, Follower& follower,
           {handle.id, shard.epoch, 0, 0, /*is_snap=*/true});
       follower.snap_inflight = true;
       ++report.snapshots;
+      report.snapshot_bytes += shard.checkpoint.size();
       if (m_snapshots_ != nullptr) {
         m_snapshots_->Add(1);
         m_snapshot_bytes_->Add(shard.checkpoint.size());
@@ -221,9 +222,14 @@ Result<ShipReport> ReplicatedShardSet::Ship() {
     // durable log of this epoch, snapshot the shard, truncate the
     // shipped history behind it and start the next epoch. Requiring a
     // fully-acked, nothing-in-flight log keeps the epoch switch trivial
-    // — no batch of the old epoch is ever in doubt.
+    // — no batch of the old epoch is ever in doubt. The log must also
+    // have grown as large as the last image: each image is at most the
+    // previous one plus the log since, so the images shipped stay
+    // within twice the log shipped, whatever the shard's size.
     if (options_.checkpoint_log_bytes > 0 &&
-        wal->durable().size() >= options_.checkpoint_log_bytes &&
+        wal->durable().size() >=
+            std::max(options_.checkpoint_log_bytes,
+                     shard.checkpoint.size()) &&
         wal->pending_records() == 0) {
       bool all_caught_up = true;
       for (const Follower& follower : shard.followers) {
@@ -506,7 +512,13 @@ void ReplicatedShardSet::SetObserver(obs::MetricsRegistry* metrics,
   tracer_ = tracer;
   trace_pid_ = pid;
   trace_tid_ = tracer_ != nullptr ? tracer_->Tid(pid, "replication") : 0;
-  if (metrics_ == nullptr) return;
+  g_lag_.clear();
+  if (metrics_ == nullptr) {
+    m_batches_ = m_batch_bytes_ = m_snapshots_ = m_snapshot_bytes_ = nullptr;
+    m_acked_ = m_failed_ = m_duplicates_ = m_divergences_ = nullptr;
+    m_checkpoints_ = m_promotions_ = m_recoveries_ = nullptr;
+    return;
+  }
   m_batches_ = metrics_->GetCounter("storage.repl.batches");
   m_batch_bytes_ = metrics_->GetCounter("storage.repl.batch_bytes");
   m_snapshots_ = metrics_->GetCounter("storage.repl.snapshots");
@@ -518,7 +530,6 @@ void ReplicatedShardSet::SetObserver(obs::MetricsRegistry* metrics,
   m_checkpoints_ = metrics_->GetCounter("storage.repl.checkpoints");
   m_promotions_ = metrics_->GetCounter("storage.repl.promotions");
   m_recoveries_ = metrics_->GetCounter("storage.repl.primary_recoveries");
-  g_lag_.clear();
   for (size_t s = 0; s < shards_.size(); ++s) {
     g_lag_.push_back(metrics_->GetGauge(
         "storage.repl.shard." + std::to_string(s) + ".lag_records"));
@@ -698,7 +709,11 @@ void ReadThroughCache::InvalidateAll() {
 }
 
 void ReadThroughCache::SetObserver(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
+  if (metrics == nullptr) {
+    m_hits_ = m_misses_ = m_evictions_ = nullptr;
+    g_bytes_ = nullptr;
+    return;
+  }
   m_hits_ = metrics->GetCounter("storage.cache.hits");
   m_misses_ = metrics->GetCounter("storage.cache.misses");
   m_evictions_ = metrics->GetCounter("storage.cache.evictions");

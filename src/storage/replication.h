@@ -29,9 +29,14 @@ struct ReplicationOptions {
   /// node ("shard<i>-follower<j>") with a duplex link to the primary.
   size_t followers_per_shard = 1;
   /// Checkpoint + compact a shard once its fully-shipped, fully-acked
-  /// durable log exceeds this many bytes: the primary snapshots its
+  /// durable log reaches the larger of this many bytes and the size of
+  /// the shard's last checkpoint image: the primary snapshots its
   /// serialized image, truncates the log behind it, bumps the shard
-  /// epoch and resyncs followers from the snapshot. 0 disables.
+  /// epoch and resyncs followers from the snapshot. The value is a
+  /// floor; past it the log grows in proportion to the image, so the
+  /// image bytes shipped stay within twice the log bytes shipped, and a
+  /// follower's log (the replay on promotion or RecoverPrimary) can
+  /// reach one image's size. 0 disables.
   size_t checkpoint_log_bytes = 256 * 1024;
   /// Modeled wire size of the per-message shipping header, added to the
   /// payload size when billing the network.
@@ -49,6 +54,7 @@ struct ShipReport {
   size_t batches = 0;          ///< WAL batches handed to the transport
   size_t batch_bytes = 0;      ///< log bytes in those batches
   size_t snapshots = 0;        ///< checkpoint images handed to the transport
+  size_t snapshot_bytes = 0;   ///< image bytes in those snapshots
   size_t acks_folded = 0;      ///< in-flight messages confirmed this round
   size_t checkpoints = 0;      ///< shards checkpointed this round
 };
@@ -124,9 +130,10 @@ class ReplicatedShardSet {
   net::NodeId follower_node(size_t shard, size_t follower) const;
 
   /// Folds acks, ships every fully group-committed batch not yet handed
-  /// to the transport, and checkpoints shards whose acked log exceeds
-  /// the threshold. Call between settle rounds; idempotent when there
-  /// is nothing to do (report all zeros).
+  /// to the transport, and checkpoints shards whose acked log has
+  /// reached the threshold (see `checkpoint_log_bytes`). Call between
+  /// settle rounds; idempotent when there is nothing to do (report all
+  /// zeros).
   Result<ShipReport> Ship();
 
   /// Routes one transport passthrough delivery. Returns true when the
@@ -167,6 +174,7 @@ class ReplicatedShardSet {
 
   /// `storage.repl.*` counters, per-shard lag gauges and checkpoint/
   /// promotion/recovery spans on the tracer lane `pid`:"replication".
+  /// A null `metrics` detaches every handle from the previous registry.
   void SetObserver(obs::MetricsRegistry* metrics, obs::Tracer* tracer,
                    int pid = 0);
 
@@ -314,7 +322,8 @@ class ReadThroughCache : public ObjectStore {
   size_t misses() const { return misses_; }
   size_t evictions() const { return evictions_; }
 
-  /// `storage.cache.*` counters and the resident-bytes gauge.
+  /// `storage.cache.*` counters and the resident-bytes gauge; nullptr
+  /// detaches them.
   void SetObserver(obs::MetricsRegistry* metrics);
 
  private:

@@ -53,8 +53,9 @@ struct ChaosOptions {
   /// rounds, kNodeLoss events promote a follower, and kShardCrash
   /// recovery becomes checkpoint-aware (storage::ReplicatedShardSet).
   size_t replication_followers = 0;
-  /// Checkpoint/compaction threshold handed to the replica set. Small
-  /// by default so smoke-length runs exercise compaction + resync.
+  /// Checkpoint/compaction floor handed to the replica set
+  /// (`ReplicationOptions::checkpoint_log_bytes`). Small by default so
+  /// smoke-length runs exercise compaction + resync.
   size_t replication_checkpoint_bytes = 64 * 1024;
   /// Read-through object cache in front of the shard facade (bytes);
   /// only stood up when replication is on. 0 disables the cache.

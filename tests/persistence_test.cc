@@ -60,6 +60,24 @@ TEST_F(PersistenceTest, SnapshotRoundTripPreservesRefs) {
   EXPECT_EQ(restored.List("Text").value().size(), 2u);
 }
 
+TEST_F(PersistenceTest, SnapshotIsCanonicalAfterDeleteAndModify) {
+  // The fixture deleted one blob; replacing another's payload moves it
+  // to a fresh store-local BlobId as well. A restored database holds
+  // different BlobIds for the same rows, and must still serialize to
+  // exactly the image it was loaded from.
+  Rng rng(43);
+  ASSERT_TRUE(db_.Modify(image_ref_, {{"FLD_QUALITY", int64_t{70}}},
+                         {{"FLD_DATA", RandomBytes(3000, rng)}})
+                  .ok());
+  Bytes snapshot = db_.Serialize();
+  DatabaseServer restored;
+  ASSERT_TRUE(restored.LoadFrom(snapshot).ok());
+  EXPECT_EQ(restored.Serialize(), snapshot);
+  DatabaseServer again;
+  ASSERT_TRUE(again.LoadFrom(restored.Serialize()).ok());
+  EXPECT_EQ(again.Serialize(), snapshot);
+}
+
 TEST_F(PersistenceTest, RestoredDatabaseAllocatesFreshIdsAboveOld) {
   Bytes snapshot = db_.Serialize();
   DatabaseServer restored;

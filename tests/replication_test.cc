@@ -326,6 +326,156 @@ TEST(ReplicationTest, RecoverPrimaryReplaysCheckpointPlusCleanPrefix) {
   EXPECT_EQ(rig.db->shard(0)->Serialize(), recovered_image);
 }
 
+/// The log size at which one checkpoint fired, and the size of the
+/// image it replaced.
+struct CheckpointFiring {
+  size_t log_bytes = 0;
+  size_t previous_image = 0;
+};
+
+/// Churns shard 0 with ~900-byte image stores, a blob rewrite every
+/// third step and a delete every fifth, pumping after each group commit
+/// so a checkpoint can fire at any step. Records every firing.
+std::vector<CheckpointFiring> ChurnWithCheckpoints(Rig& rig, int steps,
+                                                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ObjectRef> live;
+  std::vector<CheckpointFiring> firings;
+  for (int step = 0; step < steps; ++step) {
+    if (step % 5 == 4 && !live.empty()) {
+      size_t pick = rng.NextBelow(live.size());
+      EXPECT_TRUE(rig.db->Delete(live[pick]).ok());
+      live.erase(live.begin() + pick);
+    } else if (step % 3 == 2 && !live.empty()) {
+      EXPECT_TRUE(rig.db->Modify(live[rng.NextBelow(live.size())],
+                                 {{"FLD_QUALITY", FieldValue{int64_t{step}}}},
+                                 {{"FLD_DATA", RandomBytes(900, rng)}})
+                      .ok());
+    } else {
+      live.push_back(rig.db->Store("Image", ImageFields(step),
+                                   {{"FLD_DATA", RandomBytes(900, rng)}})
+                         .value());
+    }
+    rig.clock.AdvanceMicros(6000);
+    rig.db->SyncAll();
+    CheckpointFiring firing{rig.db->shard_wal(0)->durable().size(),
+                            rig.repl->checkpoint(0).size()};
+    uint64_t epoch = rig.repl->epoch(0);
+    rig.Pump();
+    if (rig.repl->epoch(0) != epoch) firings.push_back(firing);
+  }
+  return firings;
+}
+
+TEST(ReplicationTest, CheckpointWaitsForLogToReachLastImage) {
+  obs::MetricsRegistry metrics;
+  ReplicationOptions options;
+  options.checkpoint_log_bytes = 4 * 1024;
+  Rig rig(1, options);
+  rig.repl->SetObserver(&metrics, nullptr);
+  ASSERT_TRUE(rig.db->RegisterStandardTypes().ok());
+  std::vector<CheckpointFiring> firings = ChurnWithCheckpoints(rig, 200, 41);
+  ASSERT_GE(firings.size(), 5u);
+  // The floor holds first; past it, the log must have grown as large as
+  // the image the checkpoint replaces.
+  for (size_t i = 0; i < firings.size(); ++i) {
+    EXPECT_GE(firings[i].log_bytes, options.checkpoint_log_bytes)
+        << "checkpoint " << i;
+    EXPECT_GE(firings[i].log_bytes, firings[i].previous_image)
+        << "checkpoint " << i;
+  }
+  EXPECT_GT(firings.back().previous_image, options.checkpoint_log_bytes);
+  // So each image is at most the previous one plus a log at least as
+  // large as it: on loss-free links the images shipped stay within
+  // twice the log shipped.
+  uint64_t snapshot_bytes =
+      metrics.GetCounter("storage.repl.snapshot_bytes")->value();
+  uint64_t batch_bytes =
+      metrics.GetCounter("storage.repl.batch_bytes")->value();
+  EXPECT_EQ(metrics.GetCounter("storage.repl.checkpoints")->value(),
+            firings.size());
+  EXPECT_GT(snapshot_bytes, 0u);
+  EXPECT_LE(snapshot_bytes, 2 * batch_bytes);
+}
+
+TEST(ReplicationTest, PromotionAfterCheckpointsWithDeletesMatchesPrimary) {
+  ReplicationOptions options;
+  options.checkpoint_log_bytes = 4 * 1024;
+  Rig rig(1, options);
+  ASSERT_TRUE(rig.db->RegisterStandardTypes().ok());
+  ASSERT_GE(ChurnWithCheckpoints(rig, 120, 43).size(), 3u);
+  // The follower's base image went through LoadFrom, which allocates
+  // fresh BlobIds; a canonical image does not carry them, so the
+  // drained promotion is the dead primary's image byte for byte.
+  Bytes primary_image = rig.db->shard(0)->Serialize();
+  size_t acked = rig.db->shard_wal(0)->durable_records();
+  PromotionReport promoted = rig.repl->Promote(0, 0).value();
+  EXPECT_FALSE(promoted.diverged);
+  EXPECT_GT(promoted.snapshot_bytes, 0u);
+  EXPECT_EQ(promoted.replayed_records, acked);
+  EXPECT_EQ(rig.db->shard(0)->Serialize(), primary_image);
+}
+
+TEST(ReplicationTest, RecoverPrimaryAfterCheckpointsWithDeletesMatchesPrimary) {
+  ReplicationOptions options;
+  options.checkpoint_log_bytes = 4 * 1024;
+  Rig rig(1, options);
+  ASSERT_TRUE(rig.db->RegisterStandardTypes().ok());
+  ASSERT_GE(ChurnWithCheckpoints(rig, 120, 47).size(), 3u);
+  Bytes primary_image = rig.db->shard(0)->Serialize();
+  Bytes log = rig.db->shard_wal(0)->durable();
+  WalReplayStats stats = rig.repl->RecoverPrimary(0, log).value();
+  EXPECT_TRUE(stats.clean_end);
+  EXPECT_EQ(stats.records_applied, rig.db->shard_wal(0)->durable_records());
+  EXPECT_EQ(rig.db->shard(0)->Serialize(), primary_image);
+}
+
+TEST(ReplicationTest, DetachedObserversWriteNothingToTheOldRegistry) {
+  obs::MetricsRegistry metrics;
+  Rig rig(1);
+  ReadThroughCache cache(rig.db.get(), 4 * 1024);
+  rig.repl->SetObserver(&metrics, nullptr);
+  cache.SetObserver(&metrics);
+  ASSERT_TRUE(cache.RegisterStandardTypes().ok());
+  Rng rng(53);
+  std::vector<ObjectRef> refs;
+  auto exercise = [&] {
+    for (int i = 0; i < 4; ++i) {
+      refs.push_back(cache
+                         .Store("Image", ImageFields(i),
+                                {{"FLD_DATA", RandomBytes(1500, rng)}})
+                         .value());
+      rig.clock.AdvanceMicros(6000);
+    }
+    // A miss then a hit per blob, and evictions: 1500-byte blobs in
+    // 4 KiB.
+    for (const ObjectRef& ref : refs) {
+      ASSERT_TRUE(cache.FetchBlob(ref, "FLD_DATA").ok());
+      ASSERT_TRUE(cache.FetchBlob(ref, "FLD_DATA").ok());
+    }
+    ASSERT_TRUE(cache.Delete(refs.front()).ok());
+    refs.erase(refs.begin());
+    rig.db->SyncAll();
+    rig.Pump();
+  };
+  exercise();
+  EXPECT_GT(metrics.GetCounter("storage.cache.hits")->value(), 0u);
+  EXPECT_GT(metrics.GetCounter("storage.cache.evictions")->value(), 0u);
+  EXPECT_GT(metrics.GetCounter("storage.repl.batches")->value(), 0u);
+  rig.repl->SetObserver(nullptr, nullptr);
+  cache.SetObserver(nullptr);
+  obs::MetricsSnapshot detached = metrics.Snapshot();
+  size_t hits = cache.hits();
+  exercise();
+  ASSERT_TRUE(rig.repl->Promote(0, 0).ok());
+  rig.Pump();
+  Bytes log = rig.db->shard_wal(0)->durable();
+  ASSERT_TRUE(rig.repl->RecoverPrimary(0, log).ok());
+  rig.Pump();
+  EXPECT_GT(cache.hits(), hits);  // the cache still counts for itself
+  EXPECT_EQ(metrics.Snapshot(), detached);
+}
+
 // --- ReadThroughCache -------------------------------------------------
 
 TEST(CacheTest, ReadThroughHitsAfterFirstFetchAndWritesInvalidate) {
