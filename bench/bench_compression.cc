@@ -7,11 +7,14 @@
 //
 // Plus the kernel ablation: the allocation-free flat DWT kernels against
 // the textbook formulation in tests/oracles (runtime filter vectors,
-// per-call scratch, modulo indexing) as the "before", and the dispatched
-// CRC32C engine against the portable table engine — with bit-identity /
-// engine-agreement checks. Results are printed and written as JSON (to
-// --json_out=PATH). --smoke shrinks the inputs for a ctest-able perf
-// smoke run and skips the figures and google-benchmark sweeps.
+// per-call scratch, modulo indexing) as the "before", the word-at-a-time
+// zero-run coder, truncating quantiser and hoisted local-cosine block
+// against their bit-at-a-time, libm-floor and select-in-loop oracles, and
+// the dispatched CRC32C engine against the portable table engine — with
+// bit-identity / engine-agreement checks. Results are printed and
+// written as JSON (to --json_out=PATH). --smoke shrinks the inputs for a
+// ctest-able perf smoke run and skips the figures and google-benchmark
+// sweeps.
 //
 // --metrics_out=PATH dumps the obs MetricsRegistry snapshot (the
 // compress.kernel.* work counters accumulated by the check pass;
@@ -21,13 +24,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "compress/best_basis.h"
+#include "compress/bitstream.h"
 #include "compress/layered_codec.h"
+#include "compress/local_cosine.h"
+#include "compress/quantizer.h"
 #include "harness.h"
 #include "media/synthetic.h"
 #include "obs/metrics.h"
@@ -339,6 +346,122 @@ ScenarioResult RunCodecScenario(int size, int reps) {
   return result;
 }
 
+// The coefficients a codec layer hands the entropy coder: a phantom's
+// 4-level Daub4 pyramid quantised at step 8 (the base layer's shape).
+std::vector<int32_t> LayerCoefficients(int size) {
+  Rng rng(41);
+  compress::Plane plane =
+      compress::PlaneFromImage(media::MakePhantomCt({size, size, 6, 3.0}, rng));
+  compress::Dwt2D(plane, 4, compress::WaveletBasis::kDaub4).ok();
+  std::vector<int32_t> coefficients;
+  compress::Quantize(plane, 8.0, coefficients);
+  return coefficients;
+}
+
+ScenarioResult RunEntropyEncodeScenario(
+    const std::vector<int32_t>& coefficients, int reps) {
+  ScenarioResult result;
+  result.name = "entropy-encode";
+  result.bytes = coefficients.size() * sizeof(int32_t);
+  result.ok = compress::EncodeCoefficients(coefficients) ==
+              oracles::TextbookEncodeCoefficients(coefficients);
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
+    benchmark::DoNotOptimize(oracles::TextbookEncodeCoefficients(coefficients));
+  });
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
+    benchmark::DoNotOptimize(compress::EncodeCoefficients(coefficients));
+  });
+  return result;
+}
+
+ScenarioResult RunEntropyDecodeScenario(
+    const std::vector<int32_t>& coefficients, int reps) {
+  ScenarioResult result;
+  result.name = "entropy-decode";
+  const Bytes stream = compress::EncodeCoefficients(coefficients);
+  const size_t n = coefficients.size();
+  result.bytes = stream.size();
+  auto fast = compress::DecodeCoefficients(stream, n);
+  auto oracle = oracles::TextbookDecodeCoefficients(stream, n);
+  result.ok = fast.ok() && oracle.ok() && *fast == coefficients &&
+              *oracle == coefficients;
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
+    benchmark::DoNotOptimize(oracles::TextbookDecodeCoefficients(stream, n));
+  });
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
+    benchmark::DoNotOptimize(compress::DecodeCoefficients(stream, n));
+  });
+  return result;
+}
+
+// Bit patterns, so a zero of the wrong sign counts as a difference.
+bool BitIdentical(const compress::Plane& a, const compress::Plane& b) {
+  return a.data.size() == b.data.size() &&
+         std::memcmp(a.data.data(), b.data.data(),
+                     a.data.size() * sizeof(double)) == 0;
+}
+
+// Quantise then dequantise one plane, as each encoded layer does.
+ScenarioResult RunQuantizeScenario(int size, int reps) {
+  ScenarioResult result;
+  result.name = "quantize";
+  result.bytes = static_cast<size_t>(size) * static_cast<size_t>(size) * 8;
+  const double step = 4.0;
+  Rng rng(43);
+  compress::Plane input(size, size);
+  for (double& v : input.data) v = rng.Uniform(-100, 100);
+  std::vector<int32_t> coefficients;
+  compress::Quantize(input, step, coefficients);
+  compress::Plane fast(size, size);
+  compress::Dequantize(coefficients, step, fast).ok();
+  const std::vector<int32_t> oracle_coefficients =
+      oracles::TextbookQuantize(input, step);
+  result.ok = coefficients == oracle_coefficients &&
+              BitIdentical(fast, oracles::TextbookDequantize(
+                                     oracle_coefficients, size, size, step)
+                                     .value());
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
+    std::vector<int32_t> q = oracles::TextbookQuantize(input, step);
+    benchmark::DoNotOptimize(oracles::TextbookDequantize(q, size, size, step));
+  });
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
+    compress::Quantize(input, step, coefficients);
+    compress::Dequantize(coefficients, step, fast).ok();
+    benchmark::DoNotOptimize(fast.data.data());
+  });
+  return result;
+}
+
+ScenarioResult RunLocalCosineScenario(int size, int reps) {
+  ScenarioResult result;
+  result.name = "local-cosine";
+  result.bytes = static_cast<size_t>(size) * static_cast<size_t>(size) * 8;
+  Rng rng(47);
+  compress::Plane input(size, size);
+  for (double& v : input.data) v = rng.Uniform(-100, 100);
+  compress::Plane fast = input;
+  compress::Plane reference = input;
+  compress::LocalCosine2D(fast).ok();
+  oracles::TextbookLocalCosine2D(reference, /*forward=*/true);
+  result.ok = BitIdentical(fast, reference);
+  compress::InverseLocalCosine2D(fast).ok();
+  oracles::TextbookLocalCosine2D(reference, /*forward=*/false);
+  result.ok = result.ok && BitIdentical(fast, reference);
+  result.baseline_us = bench::MeanWallMicros(reps, [&] {
+    compress::Plane plane = input;
+    oracles::TextbookLocalCosine2D(plane, true);
+    oracles::TextbookLocalCosine2D(plane, false);
+    benchmark::DoNotOptimize(plane.data.data());
+  });
+  result.fast_us = bench::MeanWallMicros(reps, [&] {
+    compress::Plane plane = input;
+    compress::LocalCosine2D(plane).ok();
+    compress::InverseLocalCosine2D(plane).ok();
+    benchmark::DoNotOptimize(plane.data.data());
+  });
+  return result;
+}
+
 std::vector<ScenarioResult> RunKernelAblation(
     bool smoke, obs::MetricsRegistry* metrics) {
   // Deterministic work counters: the check passes run observed, the
@@ -357,6 +480,13 @@ std::vector<ScenarioResult> RunKernelAblation(
                      smoke ? 4 : 40));
   results.push_back(RunCodecScenario(smoke ? 64 : 256, smoke ? 1 : 5));
   compress::SetKernelObserver(nullptr);
+  // The codec kernels outside the DWT run unobserved: building their
+  // input transforms a plane, which must not move the DWT counters.
+  const std::vector<int32_t> coefficients = LayerCoefficients(plane);
+  results.push_back(RunEntropyEncodeScenario(coefficients, reps));
+  results.push_back(RunEntropyDecodeScenario(coefficients, reps));
+  results.push_back(RunQuantizeScenario(plane, reps));
+  results.push_back(RunLocalCosineScenario(plane, reps));
 
   const char* impl = "table";
   if (ActiveCrc32cImpl() == Crc32cImpl::kHardware) impl = "hardware";

@@ -1,6 +1,8 @@
 #include "compress/layered_codec.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "compress/bitstream.h"
 #include "compress/local_cosine.h"
@@ -39,32 +41,15 @@ Status SynthesizeLayer(Plane& plane, const LayerSpec& spec,
   return Status::InvalidArgument("unknown layer basis");
 }
 
-Result<Plane> DecodeLayerPayload(const Bytes& payload, const LayerSpec& spec,
-                                 int width, int height,
-                                 WaveletBasis wavelet) {
+/// Decodes one layer's payload into its synthesised residual, written
+/// over `plane`.
+Status DecodeLayerPayload(const uint8_t* payload, size_t size,
+                          const LayerSpec& spec, WaveletBasis wavelet,
+                          Plane& plane) {
   MMCONF_ASSIGN_OR_RETURN(std::vector<int32_t> coefficients,
-                          DecodeCoefficients(payload));
-  MMCONF_ASSIGN_OR_RETURN(
-      Plane plane, Dequantize(coefficients, width, height, spec.quant_step));
-  MMCONF_RETURN_IF_ERROR(SynthesizeLayer(plane, spec, wavelet));
-  return plane;
-}
-
-/// Byte offset where the header ends and payload 0 begins.
-Result<size_t> HeaderEnd(const Bytes& stream) {
-  ByteReader r(stream);
-  MMCONF_RETURN_IF_ERROR(r.GetU32().status());
-  MMCONF_RETURN_IF_ERROR(r.GetI32().status());
-  MMCONF_RETURN_IF_ERROR(r.GetI32().status());
-  MMCONF_RETURN_IF_ERROR(r.GetU8().status());
-  MMCONF_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    MMCONF_RETURN_IF_ERROR(r.GetU8().status());
-    MMCONF_RETURN_IF_ERROR(r.GetU8().status());
-    MMCONF_RETURN_IF_ERROR(r.GetF64().status());
-    MMCONF_RETURN_IF_ERROR(r.GetVarint().status());
-  }
-  return r.position();
+                          DecodeCoefficients(payload, size, plane.data.size()));
+  MMCONF_RETURN_IF_ERROR(Dequantize(coefficients, spec.quant_step, plane));
+  return SynthesizeLayer(plane, spec, wavelet);
 }
 
 }  // namespace
@@ -93,8 +78,9 @@ Result<Bytes> LayeredCodec::Encode(const media::Image& image) const {
         "the main approximation layer must use the wavelet basis");
   }
   for (const LayerSpec& spec : options_.layers) {
-    if (spec.quant_step <= 0) {
-      return Status::InvalidArgument("quantization step must be positive");
+    if (!(spec.quant_step > 0) || !std::isfinite(spec.quant_step)) {
+      return Status::InvalidArgument(
+          "quantization step must be positive and finite");
     }
     if (spec.basis != LayerBasis::kLocalCosine &&
         spec.levels > MaxDwtLevels(image.width(), image.height())) {
@@ -119,27 +105,30 @@ Result<Bytes> LayeredCodec::Encode(const media::Image& image) const {
   header.PutU8(static_cast<uint8_t>(options_.wavelet));
   header.PutVarint(options_.layers.size());
   std::vector<Bytes> payloads;
-  for (const LayerSpec& spec : options_.layers) {
-    Plane analyzed = residual;
-    MMCONF_RETURN_IF_ERROR(AnalyzeLayer(analyzed, spec, options_.wavelet));
-    std::vector<int32_t> coefficients = Quantize(analyzed, spec.quant_step);
+  // One scratch plane and one coefficient buffer serve every layer:
+  // analyse -> quantise -> dequantise -> synthesise -> subtract.
+  Plane scratch(image.width(), image.height());
+  std::vector<int32_t> coefficients;
+  for (size_t k = 0; k < options_.layers.size(); ++k) {
+    const LayerSpec& spec = options_.layers[k];
+    scratch.data = residual.data;
+    MMCONF_RETURN_IF_ERROR(AnalyzeLayer(scratch, spec, options_.wavelet));
+    Quantize(scratch, spec.quant_step, coefficients);
     payloads.push_back(EncodeCoefficients(coefficients));
-    // Reconstruct what the decoder will see and subtract it, so the next
-    // layer encodes (and compensates for) this layer's quantization
-    // artifacts.
-    MMCONF_ASSIGN_OR_RETURN(
-        Plane reconstructed,
-        Dequantize(coefficients, image.width(), image.height(),
-                   spec.quant_step));
-    MMCONF_RETURN_IF_ERROR(
-        SynthesizeLayer(reconstructed, spec, options_.wavelet));
-    for (size_t i = 0; i < residual.data.size(); ++i) {
-      residual.data[i] -= reconstructed.data[i];
-    }
     header.PutU8(static_cast<uint8_t>(spec.basis));
     header.PutU8(static_cast<uint8_t>(spec.levels));
     header.PutF64(spec.quant_step);
     header.PutVarint(payloads.back().size());
+    // No layer follows the last one to encode what it leaves.
+    if (k + 1 == options_.layers.size()) break;
+    // Reconstruct what the decoder will see and subtract it, so the next
+    // layer encodes (and compensates for) this layer's quantization
+    // artifacts.
+    MMCONF_RETURN_IF_ERROR(Dequantize(coefficients, spec.quant_step, scratch));
+    MMCONF_RETURN_IF_ERROR(SynthesizeLayer(scratch, spec, options_.wavelet));
+    for (size_t i = 0; i < residual.data.size(); ++i) {
+      residual.data[i] -= scratch.data[i];
+    }
   }
   Bytes out = header.Take();
   for (const Bytes& payload : payloads) {
@@ -208,7 +197,7 @@ Result<StreamInfo> LayeredCodec::Inspect(const Bytes& stream) {
   if (num_layers == 0 || num_layers > 255) {
     return Status::Corruption("bad layer count");
   }
-  std::vector<size_t> payload_sizes;
+  std::vector<uint64_t> payload_sizes;
   for (uint64_t i = 0; i < num_layers; ++i) {
     LayerSpec spec;
     MMCONF_ASSIGN_OR_RETURN(uint8_t basis, r.GetU8());
@@ -217,13 +206,20 @@ Result<StreamInfo> LayeredCodec::Inspect(const Bytes& stream) {
     MMCONF_ASSIGN_OR_RETURN(uint8_t levels, r.GetU8());
     spec.levels = levels;
     MMCONF_ASSIGN_OR_RETURN(spec.quant_step, r.GetF64());
+    if (!(spec.quant_step > 0) || !std::isfinite(spec.quant_step)) {
+      return Status::Corruption("bad quantization step");
+    }
     MMCONF_ASSIGN_OR_RETURN(uint64_t payload_size, r.GetVarint());
     info.layers.push_back(spec);
     payload_sizes.push_back(payload_size);
   }
   info.header_bytes = r.position();
   size_t offset = r.position();
-  for (size_t size : payload_sizes) {
+  for (uint64_t size : payload_sizes) {
+    // A wrapped sum would put a layer's end below the header.
+    if (size > std::numeric_limits<size_t>::max() - offset) {
+      return Status::Corruption("layer payload sizes overflow");
+    }
     offset += size;
     info.layer_end.push_back(offset);
   }
@@ -245,7 +241,8 @@ Result<media::Image> LayeredCodec::Decode(const Bytes& stream,
     return Status::InvalidArgument("must decode at least the base layer");
   }
   Plane sum(info.width, info.height);
-  MMCONF_ASSIGN_OR_RETURN(size_t begin, HeaderEnd(stream));
+  Plane plane(info.width, info.height);
+  size_t begin = info.header_bytes;
   for (size_t k = 0; k < use; ++k) {
     size_t end = info.layer_end[k];
     if (end > stream.size()) {
@@ -253,11 +250,9 @@ Result<media::Image> LayeredCodec::Decode(const Bytes& stream,
           "layer " + std::to_string(k) +
           " is not fully present in this stream prefix");
     }
-    Bytes payload(stream.begin() + static_cast<long>(begin),
-                  stream.begin() + static_cast<long>(end));
-    MMCONF_ASSIGN_OR_RETURN(
-        Plane plane, DecodeLayerPayload(payload, info.layers[k], info.width,
-                                        info.height, info.wavelet));
+    MMCONF_RETURN_IF_ERROR(DecodeLayerPayload(stream.data() + begin,
+                                              end - begin, info.layers[k],
+                                              info.wavelet, plane));
     for (size_t i = 0; i < sum.data.size(); ++i) {
       sum.data[i] += plane.data[i];
     }
@@ -303,14 +298,13 @@ Result<media::Image> LayeredCodec::DecodeThumbnail(const Bytes& stream,
     return Status::FailedPrecondition(
         "base layer is not fully present in this stream prefix");
   }
-  MMCONF_ASSIGN_OR_RETURN(size_t header_end, HeaderEnd(stream));
-  Bytes payload(stream.begin() + static_cast<long>(header_end),
-                stream.begin() + static_cast<long>(info.layer_end[0]));
-  MMCONF_ASSIGN_OR_RETURN(std::vector<int32_t> coefficients,
-                          DecodeCoefficients(payload));
+  const uint8_t* payload = stream.data() + info.header_bytes;
+  const size_t payload_size = info.layer_end[0] - info.header_bytes;
+  Plane analyzed(info.width, info.height);
   MMCONF_ASSIGN_OR_RETURN(
-      Plane analyzed,
-      Dequantize(coefficients, info.width, info.height, base.quant_step));
+      std::vector<int32_t> coefficients,
+      DecodeCoefficients(payload, payload_size, analyzed.data.size()));
+  MMCONF_RETURN_IF_ERROR(Dequantize(coefficients, base.quant_step, analyzed));
   MMCONF_ASSIGN_OR_RETURN(
       Plane thumb,
       ReconstructAtScale(analyzed, base.levels, scale_log2, info.wavelet));

@@ -1,35 +1,31 @@
 #include "compress/quantizer.h"
 
-#include <cmath>
-
 namespace mmconf::compress {
 
-std::vector<int32_t> Quantize(const Plane& plane, double step) {
-  std::vector<int32_t> out(plane.data.size());
-  for (size_t i = 0; i < plane.data.size(); ++i) {
-    double v = plane.data[i] / step;
-    out[i] = static_cast<int32_t>(v < 0 ? -std::floor(-v) : std::floor(v));
+void Quantize(const Plane& plane, double step, std::vector<int32_t>& out) {
+  out.resize(plane.data.size());
+  const double* in = plane.data.data();
+  int32_t* q = out.data();
+  // The conversion truncates toward zero, which is the dead zone.
+  for (size_t i = 0; i < out.size(); ++i) {
+    q[i] = static_cast<int32_t>(in[i] / step);
   }
-  return out;
 }
 
-Result<Plane> Dequantize(const std::vector<int32_t>& coefficients, int width,
-                         int height, double step) {
-  if (coefficients.size() != static_cast<size_t>(width) * height) {
+Status Dequantize(const std::vector<int32_t>& coefficients, double step,
+                  Plane& plane) {
+  if (coefficients.size() != plane.data.size()) {
     return Status::InvalidArgument("coefficient count does not match plane");
   }
-  Plane plane(width, height);
+  const int32_t* q = coefficients.data();
+  double* out = plane.data.data();
+  // Branch-free: q + 0.5 * sign(q). For q == 0 that is 0 * step, an
+  // exact +0 because the step is positive and finite.
   for (size_t i = 0; i < coefficients.size(); ++i) {
-    int32_t q = coefficients[i];
-    if (q == 0) {
-      plane.data[i] = 0;
-    } else if (q > 0) {
-      plane.data[i] = (q + 0.5) * step;
-    } else {
-      plane.data[i] = (q - 0.5) * step;
-    }
+    const int32_t sign = (q[i] > 0) - (q[i] < 0);
+    out[i] = (q[i] + 0.5 * sign) * step;
   }
-  return plane;
+  return Status::OK();
 }
 
 }  // namespace mmconf::compress

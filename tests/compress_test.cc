@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "compress/best_basis.h"
@@ -64,15 +69,16 @@ TEST(BitstreamTest, CoefficientsRoundTrip) {
     }
   }
   Bytes encoded = EncodeCoefficients(coefficients);
-  EXPECT_EQ(DecodeCoefficients(encoded).value(), coefficients);
+  EXPECT_EQ(DecodeCoefficients(encoded, coefficients.size()).value(),
+            coefficients);
   // Sparse data compresses well below 4 bytes/coefficient.
   EXPECT_LT(encoded.size(), coefficients.size());
 }
 
 TEST(BitstreamTest, EmptyAndAllZeroCoefficients) {
-  EXPECT_TRUE(DecodeCoefficients(EncodeCoefficients({})).value().empty());
+  EXPECT_TRUE(DecodeCoefficients(EncodeCoefficients({}), 0).value().empty());
   std::vector<int32_t> zeros(100, 0);
-  EXPECT_EQ(DecodeCoefficients(EncodeCoefficients(zeros)).value(), zeros);
+  EXPECT_EQ(DecodeCoefficients(EncodeCoefficients(zeros), 100).value(), zeros);
 }
 
 class WaveletPrTest
@@ -338,8 +344,10 @@ TEST(QuantizerTest, RoundTripWithinStep) {
   Plane plane(8, 8);
   for (double& v : plane.data) v = rng.Uniform(-200, 200);
   const double step = 4.0;
-  std::vector<int32_t> q = Quantize(plane, step);
-  Plane restored = Dequantize(q, 8, 8, step).value();
+  std::vector<int32_t> q;
+  Quantize(plane, step, q);
+  Plane restored(8, 8);
+  ASSERT_TRUE(Dequantize(q, step, restored).ok());
   for (size_t i = 0; i < plane.data.size(); ++i) {
     EXPECT_LE(std::abs(restored.data[i] - plane.data[i]), step);
   }
@@ -348,7 +356,8 @@ TEST(QuantizerTest, RoundTripWithinStep) {
 TEST(QuantizerTest, DeadZoneMapsSmallToZero) {
   Plane plane(2, 1);
   plane.data = {0.4, -0.9};
-  std::vector<int32_t> q = Quantize(plane, 1.0);
+  std::vector<int32_t> q;
+  Quantize(plane, 1.0, q);
   EXPECT_EQ(q[0], 0);
   EXPECT_EQ(q[1], 0);
 }
@@ -539,10 +548,14 @@ TEST_F(CodecTest, OptionValidation) {
   wrong_base.layers = {{LayerBasis::kLocalCosine, 0, 8.0}};
   EXPECT_TRUE(
       LayeredCodec(wrong_base).Encode(image_).status().IsInvalidArgument());
-  CodecOptions bad_step;
-  bad_step.layers = {{LayerBasis::kWavelet, 4, 0.0}};
-  EXPECT_TRUE(
-      LayeredCodec(bad_step).Encode(image_).status().IsInvalidArgument());
+  for (double step : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    CodecOptions bad_step;
+    bad_step.layers = {{LayerBasis::kWavelet, 4, step}};
+    EXPECT_TRUE(
+        LayeredCodec(bad_step).Encode(image_).status().IsInvalidArgument())
+        << step;
+  }
 }
 
 class BestBasisTest : public ::testing::Test {
@@ -627,6 +640,419 @@ TEST_F(BestBasisTest, InfeasibleDepthRejected) {
   EXPECT_TRUE(BestBasisSearch(smooth_, -1, WaveletBasis::kHaar)
                   .status()
                   .IsInvalidArgument());
+}
+
+// --- Fast codec kernels against tests/oracles ------------------------
+
+// Bit patterns, so -0.0 against +0.0 and NaN payloads count as
+// differences.
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A coefficient-like value: mostly small, sometimes any int32, sometimes
+// an extreme.
+int32_t RandomCoefficient(Rng& rng) {
+  switch (rng.NextBelow(8)) {
+    case 0:
+      return std::numeric_limits<int32_t>::min();
+    case 1:
+      return std::numeric_limits<int32_t>::max();
+    case 2:
+      return static_cast<int32_t>(static_cast<uint32_t>(rng.Next()));
+    case 3:
+      return static_cast<int32_t>(rng.UniformInt(-70000, 70000));
+    default:
+      return static_cast<int32_t>(rng.UniformInt(-40, 40));
+  }
+}
+
+// One write or read of each BitWriter/BitReader method.
+struct BitOp {
+  int kind = 0;  // 0 bit, 1 bits, 2 unsigned EG, 3 signed EG
+  uint32_t value = 0;
+  int count = 0;
+};
+
+std::vector<BitOp> RandomBitOps(Rng& rng, int n) {
+  std::vector<BitOp> ops(static_cast<size_t>(n));
+  for (BitOp& op : ops) {
+    op.kind = static_cast<int>(rng.NextBelow(4));
+    op.value = static_cast<uint32_t>(RandomCoefficient(rng));
+    if (rng.Chance(0.1)) op.value = std::numeric_limits<uint32_t>::max();
+    op.count = static_cast<int>(rng.NextBelow(33));
+  }
+  return ops;
+}
+
+template <typename Writer>
+Bytes WriteBitOps(const std::vector<BitOp>& ops,
+                  std::vector<size_t>* bit_counts) {
+  Writer w;
+  for (const BitOp& op : ops) {
+    switch (op.kind) {
+      case 0:
+        w.PutBit(op.value & 1);
+        break;
+      case 1:
+        w.PutBits(op.value, op.count);
+        break;
+      case 2:
+        w.PutUExpGolomb(op.value);
+        break;
+      default:
+        w.PutSExpGolomb(static_cast<int32_t>(op.value));
+    }
+    bit_counts->push_back(w.bit_count());
+  }
+  return w.Finish();
+}
+
+// Replays `ops` as reads and logs every value or status with the position
+// after it; reading goes on after an error, as a decoder's caller might.
+template <typename Reader>
+std::string ReadBitOps(const Bytes& bytes, const std::vector<BitOp>& ops) {
+  Reader r(bytes);
+  std::string log;
+  auto note = [&](const auto& result) {
+    log += result.ok() ? std::to_string(*result) : result.status().ToString();
+    log += "@" + std::to_string(r.bits_consumed()) + ";";
+  };
+  for (const BitOp& op : ops) {
+    switch (op.kind) {
+      case 0:
+        note(r.GetBit());
+        break;
+      case 1:
+        note(r.GetBits(op.count));
+        break;
+      case 2:
+        note(r.GetUExpGolomb());
+        break;
+      default:
+        note(r.GetSExpGolomb());
+    }
+  }
+  return log;
+}
+
+TEST(FastKernelTest, BitWriterMatchesBitAtATimeWriter) {
+  Rng rng(401);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<BitOp> ops = RandomBitOps(rng, 1 + trial % 60);
+    std::vector<size_t> fast_counts, oracle_counts;
+    Bytes fast = WriteBitOps<BitWriter>(ops, &fast_counts);
+    Bytes oracle = WriteBitOps<oracles::TextbookBitWriter>(ops, &oracle_counts);
+    ASSERT_EQ(fast, oracle) << "trial " << trial;
+    ASSERT_EQ(fast_counts, oracle_counts) << "trial " << trial;
+  }
+}
+
+TEST(FastKernelTest, CoefficientCoderMatchesOracle) {
+  Rng rng(402);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<int32_t> coefficients(rng.NextBelow(3000));
+    const double density = rng.NextDouble();
+    for (int32_t& c : coefficients) {
+      if (rng.Chance(density)) c = RandomCoefficient(rng);
+    }
+    Bytes fast = EncodeCoefficients(coefficients);
+    ASSERT_EQ(fast, oracles::TextbookEncodeCoefficients(coefficients))
+        << "trial " << trial;
+    ASSERT_EQ(DecodeCoefficients(fast, coefficients.size()).value(),
+              coefficients)
+        << "trial " << trial;
+  }
+}
+
+TEST(FastKernelTest, BitReaderMatchesOracleOnValidTruncatedAndFlipped) {
+  Rng rng(403);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<BitOp> ops = RandomBitOps(rng, 1 + trial % 40);
+    std::vector<size_t> counts;
+    Bytes stream = WriteBitOps<BitWriter>(ops, &counts);
+    if (trial % 3 == 1 && !stream.empty()) {
+      stream.resize(rng.NextBelow(stream.size()));
+    } else if (trial % 3 == 2 && !stream.empty()) {
+      for (int flips = 0; flips < 1 + trial % 4; ++flips) {
+        stream[rng.NextBelow(stream.size())] ^=
+            static_cast<uint8_t>(1u << rng.NextBelow(8));
+      }
+    }
+    ASSERT_EQ(ReadBitOps<BitReader>(stream, ops),
+              ReadBitOps<oracles::TextbookBitReader>(stream, ops))
+        << "trial " << trial;
+  }
+}
+
+TEST(FastKernelTest, ReaderCorruptionMatchesOracle) {
+  // 33 leading zeros, then a one: too long. 20 zeros and the end: ran out.
+  // A 65-bit code with its last bit missing: ran out inside the suffix.
+  Bytes too_long(6, 0);
+  too_long[4] = 0x40;
+  Bytes short_zeros(3, 0);
+  BitWriter w;
+  w.PutUExpGolomb(std::numeric_limits<uint32_t>::max());
+  Bytes full = w.Finish();
+  ASSERT_EQ(full.size(), 9u);  // 65 bits
+  Bytes cut(full.begin(), full.end() - 1);
+  for (const Bytes& stream : {too_long, short_zeros, cut}) {
+    BitReader fast(stream);
+    oracles::TextbookBitReader oracle(stream);
+    Result<uint32_t> a = fast.GetUExpGolomb();
+    Result<uint32_t> b = oracle.GetUExpGolomb();
+    ASSERT_TRUE(a.status().IsCorruption());
+    EXPECT_EQ(a.status().ToString(), b.status().ToString());
+    EXPECT_EQ(fast.bits_consumed(), oracle.bits_consumed());
+  }
+  // A zero run longer than the declared count.
+  BitWriter runs;
+  runs.PutBits(4, 32);
+  runs.PutUExpGolomb(5);
+  Bytes overflow = runs.Finish();
+  EXPECT_EQ(DecodeCoefficients(overflow, 4).status().ToString(),
+            oracles::TextbookDecodeCoefficients(overflow, 4)
+                .status()
+                .ToString());
+}
+
+TEST(FastKernelTest, DecodeCoefficientsMatchesOracleOnDamagedStreams) {
+  Rng rng(404);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<int32_t> coefficients(1 + rng.NextBelow(500));
+    for (int32_t& c : coefficients) {
+      if (rng.Chance(0.3)) c = static_cast<int32_t>(rng.UniformInt(-99, 99));
+    }
+    Bytes stream = EncodeCoefficients(coefficients);
+    if (trial % 2 == 0) {
+      stream.resize(4 + rng.NextBelow(stream.size() - 3));
+    } else {
+      stream[4 + rng.NextBelow(stream.size() - 4)] ^=
+          static_cast<uint8_t>(1u << rng.NextBelow(8));
+    }
+    auto fast = DecodeCoefficients(stream, coefficients.size());
+    auto oracle =
+        oracles::TextbookDecodeCoefficients(stream, coefficients.size());
+    ASSERT_EQ(fast.ok(), oracle.ok()) << "trial " << trial;
+    if (fast.ok()) {
+      ASSERT_EQ(*fast, *oracle) << "trial " << trial;
+    } else {
+      ASSERT_EQ(fast.status().ToString(), oracle.status().ToString())
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(FastKernelTest, ExpGolombExtremesRoundTrip) {
+  const uint32_t umax = std::numeric_limits<uint32_t>::max();
+  const int32_t imin = std::numeric_limits<int32_t>::min();
+  const int32_t imax = std::numeric_limits<int32_t>::max();
+  BitWriter w;
+  w.PutUExpGolomb(umax);
+  EXPECT_EQ(w.bit_count(), 65u);
+  w.PutSExpGolomb(imin);  // zigzags to UINT32_MAX: 65 bits again
+  EXPECT_EQ(w.bit_count(), 130u);
+  w.PutSExpGolomb(imax);
+  w.PutUExpGolomb(umax - 1);
+  Bytes stream = w.Finish();
+  BitReader r(stream);
+  EXPECT_EQ(r.GetUExpGolomb().value(), umax);
+  EXPECT_EQ(r.GetSExpGolomb().value(), imin);
+  EXPECT_EQ(r.GetSExpGolomb().value(), imax);
+  EXPECT_EQ(r.GetUExpGolomb().value(), umax - 1);
+  // The same values as coefficients, through the zero-run coder.
+  std::vector<int32_t> extremes = {imin, 0, imax, -1, 1, imin + 1, imax - 1};
+  EXPECT_EQ(DecodeCoefficients(EncodeCoefficients(extremes), extremes.size())
+                .value(),
+            extremes);
+}
+
+TEST(FastKernelTest, QuantizeMatchesFloorOracle) {
+  Rng rng(405);
+  for (double step : {0.3, 1.0, 4.0, 7.5, 16.0, 1e-3}) {
+    Plane plane(37, 11);
+    for (double& v : plane.data) v = rng.Uniform(-1e4, 1e4);
+    plane.data[0] = 0.0;
+    plane.data[1] = -0.0;
+    for (int k = 1; k <= 6; ++k) {
+      plane.data[1 + static_cast<size_t>(k)] = k * step;
+      plane.data[10 + static_cast<size_t>(k)] = -k * step;
+    }
+    std::vector<int32_t> fast;
+    Quantize(plane, step, fast);
+    EXPECT_EQ(fast, oracles::TextbookQuantize(plane, step)) << step;
+  }
+  // Exact multiples of a power-of-two step land on their integer, and
+  // both zeros (and anything inside the dead zone) on 0.
+  Plane plane(8, 1);
+  plane.data = {0.0, -0.0, 12.0, -12.0, 4.0, -4.0, 3.999, -3.999};
+  std::vector<int32_t> q;
+  Quantize(plane, 4.0, q);
+  EXPECT_EQ(q, (std::vector<int32_t>{0, 0, 3, -3, 1, -1, 0, 0}));
+}
+
+TEST(FastKernelTest, DequantizeMatchesBranchyOracle) {
+  Rng rng(406);
+  std::vector<int32_t> coefficients(500);
+  for (int32_t& c : coefficients) {
+    c = rng.Chance(0.4) ? 0 : RandomCoefficient(rng);
+  }
+  for (double step : {0.3, 1.0, 4.0, 16.0, 1e-300, 1e300}) {
+    Plane fast(25, 20);
+    for (double& v : fast.data) v = 123.0;  // stale scratch is overwritten
+    ASSERT_TRUE(Dequantize(coefficients, step, fast).ok());
+    Plane oracle =
+        oracles::TextbookDequantize(coefficients, 25, 20, step).value();
+    EXPECT_TRUE(BitIdentical(fast.data, oracle.data)) << step;
+  }
+  Plane wrong(4, 4);
+  EXPECT_TRUE(Dequantize(coefficients, 1.0, wrong).IsInvalidArgument());
+}
+
+TEST(FastKernelTest, LocalCosineMatchesSelectInLoopOracle) {
+  Rng rng(407);
+  for (auto [w, h] : std::vector<std::pair<int, int>>{
+           {8, 8}, {16, 8}, {24, 40}, {64, 64}, {192, 192}}) {
+    Plane input(w, h);
+    for (double& v : input.data) v = rng.Uniform(-300, 300);
+    Plane fast = input;
+    Plane oracle = input;
+    ASSERT_TRUE(LocalCosine2D(fast).ok());
+    oracles::TextbookLocalCosine2D(oracle, /*forward=*/true);
+    EXPECT_TRUE(BitIdentical(fast.data, oracle.data)) << w << "x" << h;
+    ASSERT_TRUE(InverseLocalCosine2D(fast).ok());
+    oracles::TextbookLocalCosine2D(oracle, /*forward=*/false);
+    EXPECT_TRUE(BitIdentical(fast.data, oracle.data)) << w << "x" << h;
+  }
+}
+
+// The base layer's depth and each residual basis, as deep as the side
+// allows.
+CodecOptions OptionsFor(int side, LayerBasis residual) {
+  const int max_levels = MaxDwtLevels(side, side);
+  CodecOptions options;
+  options.layers = {{LayerBasis::kWavelet, std::min(4, max_levels), 16.0},
+                    {residual, std::min(2, max_levels), 8.0},
+                    {residual, std::min(1, max_levels), 3.0}};
+  return options;
+}
+
+TEST(FastKernelTest, EncodeIsByteIdenticalToOraclePath) {
+  for (int side : {8, 16, 24, 40, 64, 96, 128, 192, 256}) {
+    Rng rng(static_cast<uint64_t>(side));
+    media::Image image = media::MakePhantomCt({side, side, 4, 2.0}, rng);
+    for (LayerBasis residual : {LayerBasis::kWavelet,
+                                LayerBasis::kWaveletPacket,
+                                LayerBasis::kLocalCosine}) {
+      CodecOptions options = OptionsFor(side, residual);
+      options.wavelet =
+          side % 16 == 0 ? WaveletBasis::kDaub4 : WaveletBasis::kHaar;
+      Bytes fast = LayeredCodec(options).Encode(image).value();
+      EXPECT_EQ(fast, oracles::TextbookEncode(image, options))
+          << side << " " << LayerBasisToString(residual);
+    }
+    if (side % 16 == 0) {
+      EXPECT_EQ(LayeredCodec().Encode(image).value(),
+                oracles::TextbookEncode(image, CodecOptions{}))
+          << side;
+    }
+  }
+}
+
+TEST(FastKernelTest, EncodeToBudgetIsByteIdenticalToOraclePath) {
+  for (int side : {16, 64, 192}) {
+    Rng rng(static_cast<uint64_t>(side) + 1);
+    media::Image image = media::MakePhantomCt({side, side, 5, 2.0}, rng);
+    for (LayerBasis residual : {LayerBasis::kWavelet,
+                                LayerBasis::kWaveletPacket,
+                                LayerBasis::kLocalCosine}) {
+      CodecOptions options = OptionsFor(side, residual);
+      const size_t full = LayeredCodec(options).Encode(image).value().size();
+      for (size_t budget : {full, full / 2, full / 5}) {
+        auto fast = LayeredCodec(options).EncodeToBudget(image, budget);
+        auto oracle = oracles::TextbookEncodeToBudget(image, options, budget);
+        ASSERT_EQ(fast.ok(), oracle.ok()) << side << " " << budget;
+        if (fast.ok()) {
+          EXPECT_EQ(*fast, *oracle) << side << " " << budget;
+        }
+      }
+    }
+  }
+}
+
+// --- Corrupted headers ------------------------------------------------
+
+// A 64x64 stream whose header is rewritten to declare `sizes` as the
+// payload sizes of its three layers; the payload bytes are kept.
+Bytes WithPayloadSizes(const std::vector<uint64_t>& sizes) {
+  Rng rng(408);
+  media::Image image = media::MakePhantomCt({64, 64, 3, 2.0}, rng);
+  CodecOptions options;
+  Bytes stream = LayeredCodec(options).Encode(image).value();
+  StreamInfo info = LayeredCodec::Inspect(stream).value();
+  ByteWriter header;
+  header.PutU32(0x4d4c4352);
+  header.PutI32(64);
+  header.PutI32(64);
+  header.PutU8(static_cast<uint8_t>(options.wavelet));
+  header.PutVarint(options.layers.size());
+  for (size_t k = 0; k < options.layers.size(); ++k) {
+    header.PutU8(static_cast<uint8_t>(options.layers[k].basis));
+    header.PutU8(static_cast<uint8_t>(options.layers[k].levels));
+    header.PutF64(options.layers[k].quant_step);
+    header.PutVarint(sizes[k]);
+  }
+  Bytes out = header.Take();
+  out.insert(out.end(), stream.begin() + static_cast<long>(info.header_bytes),
+             stream.end());
+  return out;
+}
+
+TEST(CorruptHeaderTest, WrappedPayloadSizesAreCorruption) {
+  // 2^64 - 6 wraps layer 0's end to 6 bytes below the header.
+  for (const Bytes& bad :
+       {WithPayloadSizes({~uint64_t{0} - 5, 100, 100}),
+        WithPayloadSizes({100, ~uint64_t{0} - 50, 100}),
+        WithPayloadSizes({~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}})}) {
+    EXPECT_TRUE(LayeredCodec::Inspect(bad).status().IsCorruption());
+    EXPECT_TRUE(
+        LayeredCodec::LayersWithinBudget(bad, 1000).status().IsCorruption());
+    EXPECT_TRUE(LayeredCodec::Decode(bad).status().IsCorruption());
+    EXPECT_TRUE(LayeredCodec::Decode(bad, 2).status().IsCorruption());
+    EXPECT_TRUE(LayeredCodec::DecodePrefix(bad, 1000).status().IsCorruption());
+    EXPECT_TRUE(LayeredCodec::DecodeThumbnail(bad, 1).status().IsCorruption());
+  }
+}
+
+TEST(CorruptHeaderTest, NonPositiveOrNonFiniteStepIsCorruption) {
+  Bytes good = WithPayloadSizes({0, 0, 0});
+  ASSERT_TRUE(LayeredCodec::Inspect(good).ok());
+  // magic, width, height, wavelet, layer count, then layer 0's basis and
+  // levels: its step is bytes 16..23.
+  ASSERT_EQ(LayeredCodec::Inspect(good).value().layers[0].quant_step, 16.0);
+  for (double step : {0.0, -16.0, std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    Bytes bad = good;
+    std::memcpy(bad.data() + 16, &step, sizeof(step));
+    EXPECT_TRUE(LayeredCodec::Inspect(bad).status().IsCorruption()) << step;
+  }
+}
+
+TEST(CorruptHeaderTest, CoefficientCountIsCheckedBeforeAllocating) {
+  Rng rng(409);
+  media::Image image = media::MakePhantomCt({64, 64, 3, 2.0}, rng);
+  Bytes stream = LayeredCodec().Encode(image).value();
+  StreamInfo info = LayeredCodec::Inspect(stream).value();
+  // Layer 0's coder declares 2^32 - 1 coefficients for a 64x64 plane.
+  for (size_t i = 0; i < 4; ++i) stream[info.header_bytes + i] = 0xff;
+  EXPECT_TRUE(LayeredCodec::Decode(stream).status().IsCorruption());
+  EXPECT_TRUE(LayeredCodec::DecodePrefix(stream, stream.size())
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(LayeredCodec::DecodeThumbnail(stream, 2).status().IsCorruption());
+  Bytes count_only = {0xff, 0xff, 0xff, 0xff};
+  EXPECT_TRUE(DecodeCoefficients(count_only, 64 * 64).status().IsCorruption());
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #ifndef MMCONF_TESTS_ORACLES_ORACLES_H_
 #define MMCONF_TESTS_ORACLES_ORACLES_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/result.h"
+#include "compress/layered_codec.h"
 #include "compress/plane.h"
 #include "compress/wavelet.h"
 #include "cpnet/assignment.h"
@@ -75,6 +79,73 @@ void TextbookLine(std::vector<double>& line, const TapSet& taps,
 /// kernel uses. Forward runs levels 0, 1, ...; inverse runs them back.
 void TextbookDwt2D(compress::Plane& plane, int levels, bool forward,
                    compress::WaveletBasis basis);
+
+// --- Layered codec kernels -------------------------------------------
+// The kernels the fast codec path replaced (codec.cc): a writer and a
+// reader that move one bit per call, the libm-floor quantiser, the
+// three-way dequantiser and the local-cosine block that picks its matrix
+// entry inside the inner loop. Production must match them bit for bit.
+
+/// Writes one bit per call and one byte per push_back.
+class TextbookBitWriter {
+ public:
+  void PutBit(bool bit);
+  void PutBits(uint32_t value, int count);
+  void PutUExpGolomb(uint32_t value);
+  void PutSExpGolomb(int32_t value);
+  Bytes Finish();
+  size_t bit_count() const { return bytes_.size() * 8 + bit_pos_; }
+
+ private:
+  Bytes bytes_;
+  uint8_t current_ = 0;
+  int bit_pos_ = 0;
+};
+
+/// Returns one Result<bool> per bit.
+class TextbookBitReader {
+ public:
+  explicit TextbookBitReader(const Bytes& bytes) : bytes_(bytes) {}
+  Result<bool> GetBit();
+  Result<uint32_t> GetBits(int count);
+  Result<uint32_t> GetUExpGolomb();
+  Result<int32_t> GetSExpGolomb();
+  size_t bits_consumed() const { return pos_; }
+
+ private:
+  const Bytes& bytes_;
+  size_t pos_ = 0;
+};
+
+/// The zero-run coder over TextbookBitWriter.
+Bytes TextbookEncodeCoefficients(const std::vector<int32_t>& coefficients);
+/// The zero-run decoder over TextbookBitReader; a count other than
+/// `expected_count` is Corruption, before anything is reserved.
+Result<std::vector<int32_t>> TextbookDecodeCoefficients(
+    const Bytes& bytes, size_t expected_count);
+
+/// Sign-conditional libm floor of plane/step.
+std::vector<int32_t> TextbookQuantize(const compress::Plane& plane,
+                                      double step);
+/// Zero, (q + 0.5) * step or (q - 0.5) * step, by branch.
+Result<compress::Plane> TextbookDequantize(
+    const std::vector<int32_t>& coefficients, int width, int height,
+    double step);
+
+/// Blockwise 8x8 DCT-II (or its inverse) with `forward ? D[k][n] :
+/// D[n][k]` chosen per product and a bounds-checked plane access.
+/// Dimensions must be multiples of 8.
+void TextbookLocalCosine2D(compress::Plane& plane, bool forward);
+
+/// LayeredCodec::Encode over the kernels above (and TextbookDwt2D for
+/// the wavelet layers), with a fresh plane, coefficient vector and
+/// reconstruction per layer. `options` must be valid for `image`.
+Bytes TextbookEncode(const media::Image& image,
+                     const compress::CodecOptions& options);
+/// LayeredCodec::EncodeToBudget's search over TextbookEncode.
+Result<Bytes> TextbookEncodeToBudget(const media::Image& image,
+                                     const compress::CodecOptions& options,
+                                     size_t byte_budget, int iterations = 8);
 
 }  // namespace mmconf::oracles
 
